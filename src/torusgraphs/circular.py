@@ -14,15 +14,11 @@ Mardia, K. V. & Jupp, P. E. (2000). Directional Statistics. Wiley.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, kolmogorov
+from scipy.special import gammaincc, i0e, i1e, kolmogorov
 
 from .exceptions import DegenerateDataError, DomainError
 
 TWO_PI = 2.0 * np.pi
-
-# Series/asymptotic crossover for the modified Bessel functions; the two
-# regimes agree to ~1e-13 relative in the overlap (see tests).
-_BESSEL_CROSSOVER = 15.0
 
 _DEGENERATE_LENGTH = 1e-12
 
@@ -48,57 +44,19 @@ def wrap_angle(x):
     return w
 
 
-def _bessel_series(order, z):
-    """Power series for I_order(z), elementwise; intended for z < ~20."""
-    half = 0.5 * z
-    term = np.ones_like(z) if order == 0 else half.copy()
-    total = term.copy()
-    for k in range(1, 200):
-        term = term * (half * half) / (k * (k + order))
-        total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-def _bessel_asymptotic_scaled(order, z):
-    """Optimally truncated asymptotic series for e^{-z} I_order(z), z >= ~15.
-
-    Terms are added per component only while they keep shrinking, which
-    bounds the truncation error by ~e^{-2z} (below 1e-13 at z = 15).
-    """
-    mu = 4.0 * order * order
-    term = np.ones_like(z)
-    total = term.copy()
-    prev = np.abs(term)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, 60):
-        term = term * -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        mag = np.abs(term)
-        active &= mag < prev
-        total = np.where(active, total + term, total)
-        prev = np.where(active, mag, prev)
-        if not np.any(active) or np.all(mag <= 1e-17 * np.abs(total)):
-            break
-    return total / np.sqrt(TWO_PI * z)
-
-
-def _bessel_i_scaled(order, z):
-    """e^{-z} I_order(z) elementwise for z >= 0 (array in, array out)."""
-    small = z < _BESSEL_CROSSOVER
-    out = np.empty_like(z)
-    if np.any(small):
-        zs = z[small]
-        out[small] = _bessel_series(order, zs) * np.exp(-zs)
-    if np.any(~small):
-        out[~small] = _bessel_asymptotic_scaled(order, z[~small])
-    return out
+def _bessel_argument(z):
+    """Validated Bessel argument as a 1-D array, plus whether it was scalar."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)) or np.any(z < 0):
+        raise DomainError("Bessel argument must be finite and >= 0")
+    return np.atleast_1d(z), z.ndim == 0
 
 
 def bessel_i(order, z):
     """Modified Bessel function of the first kind, I_0 or I_1.
 
-    Power series below z = 15, scaled asymptotic expansion above; relative
-    accuracy ~1e-12 for z <= 700 (beyond that e^z overflows the double range).
+    The exponentially scaled scipy.special.i0e / i1e times e^z; finite for
+    z <= ~700 (beyond that e^z overflows the double range).
 
     Parameters
     ----------
@@ -109,29 +67,15 @@ def bessel_i(order, z):
     """
     if order not in (0, 1):
         raise DomainError(f"unsupported Bessel order {order!r}; only 0 and 1")
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if not np.all(np.isfinite(z)) or np.any(z < 0):
-        raise DomainError("Bessel argument must be finite and >= 0")
-    small = z < _BESSEL_CROSSOVER
-    out = np.empty_like(z)
-    if np.any(small):
-        out[small] = _bessel_series(order, z[small])
-    if np.any(~small):
-        zl = z[~small]
-        out[~small] = _bessel_asymptotic_scaled(order, zl) * np.exp(zl)
+    z, scalar = _bessel_argument(z)
+    out = (i0e if order == 0 else i1e)(z) * np.exp(z)
     return float(out[0]) if scalar else out
 
 
 def log_bessel_i0(z):
     """log I_0(z), overflow-free for large z."""
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if not np.all(np.isfinite(z)) or np.any(z < 0):
-        raise DomainError("Bessel argument must be finite and >= 0")
-    out = np.log(_bessel_i_scaled(0, z)) + z
+    z, scalar = _bessel_argument(z)
+    out = np.log(i0e(z)) + z
     return float(out[0]) if scalar else out
 
 
@@ -141,19 +85,8 @@ def bessel_ratio(z):
     The exponential scalings cancel, so arguments far beyond the overflow
     point of I_m itself (z >= 1e4) are fine.
     """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if not np.all(np.isfinite(z)) or np.any(z < 0):
-        raise DomainError("Bessel argument must be finite and >= 0")
-    small = z < _BESSEL_CROSSOVER
-    out = np.empty_like(z)
-    if np.any(small):
-        zs = z[small]
-        out[small] = _bessel_series(1, zs) / _bessel_series(0, zs)
-    if np.any(~small):
-        zl = z[~small]
-        out[~small] = _bessel_asymptotic_scaled(1, zl) / _bessel_asymptotic_scaled(0, zl)
+    z, scalar = _bessel_argument(z)
+    out = i1e(z) / i0e(z)
     return float(out[0]) if scalar else out
 
 

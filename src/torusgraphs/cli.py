@@ -25,6 +25,7 @@ from .inference import (
     MODE_ROTATIONAL,
     asymptotic_cov,
     build_graph,
+    correct_pvalues,
     edge_test,
     goodness_of_fit,
     group_edge_test,
@@ -83,6 +84,19 @@ def _load_dataset(args):
     )
 
 
+def _load_fit(args):
+    """Load the angle CSV and the model, check that their dimensions agree,
+    and wrap the model as a FitResult over the data's moments, with its
+    estimating-equation residual max|Gamma phi - H|."""
+    ds = _load_dataset(args)
+    params = tgio.load_model(args.model)
+    if params.d != ds.d:
+        raise DomainError(f"model dimension {params.d} does not match data dimension {ds.d}")
+    moments = accumulate_moments(ds.angles)
+    resid = float(np.max(np.abs(moments.gamma_hat @ params.phi - moments.h_hat)))
+    return ds, FitResult(params=params, moments=moments, method="loaded", residual_norm=resid)
+
+
 def _add_dataset_options(p):
     p.add_argument("data", help="angle CSV, trials in rows and channels in columns")
     p.add_argument("--units", choices=["radians", "degrees"], default="radians")
@@ -118,20 +132,14 @@ def cmd_fit(args):
 
 
 def cmd_test(args):
-    ds = _load_dataset(args)
-    params = tgio.load_model(args.model)
-    if params.d != ds.d:
-        raise DomainError(f"model dimension {params.d} does not match data dimension {ds.d}")
-    moments = accumulate_moments(ds.angles)
-    resid = float(np.max(np.abs(moments.gamma_hat @ params.phi - moments.h_hat)))
-    fit = FitResult(params=params, moments=moments, method="loaded", residual_norm=resid)
-    cov = asymptotic_cov(ds.angles, params, moments=moments)
-    mode = _auto_mode(params.family, args.mode)
+    ds, fit = _load_fit(args)
+    cov = asymptotic_cov(ds.angles, fit.params, moments=fit.moments)
+    mode = _auto_mode(fit.params.family, args.mode)
     tests = [edge_test(fit, cov, j, k, mode=mode) for j, k in edge_list(ds.d)]
     graph = build_graph(tests, alpha=args.alpha, correction=args.correction, d=ds.d)
     tgio.save_graph(args.out, graph)
     print(f"edgewise tests ({mode}, {len(tests)} pairs, alpha={args.alpha}, "
-          f"correction={args.correction}; estimating-equation residual {resid:.3g}):")
+          f"correction={args.correction}; estimating-equation residual {fit.residual_norm:.3g}):")
     for t in sorted(tests, key=lambda t: t.p):
         j, k = t.edge
         flag = "*" if graph.adjacency[j, k] else " "
@@ -142,19 +150,14 @@ def cmd_test(args):
 
 
 def cmd_region_test(args):
-    ds = _load_dataset(args)
-    params = tgio.load_model(args.model)
-    if params.d != ds.d:
-        raise DomainError(f"model dimension {params.d} does not match data dimension {ds.d}")
+    ds, fit = _load_fit(args)
     groups = tgio.load_groups(args.groups)
     for name, members in groups.items():
         for m in members:
             if not 0 <= m < ds.d:
                 raise DomainError(f"group {name!r} lists channel {m}, but d={ds.d}")
-    moments = accumulate_moments(ds.angles)
-    fit = FitResult(params=params, moments=moments, method="loaded", residual_norm=0.0)
-    cov = asymptotic_cov(ds.angles, params, moments=moments)
-    mode = _auto_mode(params.family, args.mode)
+    cov = asymptotic_cov(ds.angles, fit.params, moments=fit.moments)
+    mode = _auto_mode(fit.params.family, args.mode)
     names = sorted(groups)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     results = []
@@ -164,18 +167,17 @@ def cmd_region_test(args):
             raise DomainError(f"groups {a!r} and {b!r} share all channels")
         t = group_edge_test(fit, cov, edges, mode=mode)
         results.append((a, b, t))
-    factor = len(results) if args.correction == "bonferroni" else 1
+    p_corr = correct_pvalues([t.p for _, _, t in results], args.correction)
     print(f"region tests ({mode}, alpha={args.alpha}, correction={args.correction}):")
     out_doc = {"schema_version": tgio.SCHEMA_VERSION, "alpha": args.alpha,
                "correction": args.correction, "mode": mode, "results": []}
-    for a, b, t in results:
-        p_corr = min(1.0, t.p * factor)
-        sig = p_corr <= args.alpha
+    for (a, b, t), p in zip(results, p_corr.tolist()):
+        sig = p <= args.alpha
         flag = "*" if sig else " "
-        print(f" {flag} {a} -- {b}: X2={t.x2:.3f}, df={t.df}, p={t.p:.3g}, corrected={p_corr:.3g}")
+        print(f" {flag} {a} -- {b}: X2={t.x2:.3f}, df={t.df}, p={t.p:.3g}, corrected={p:.3g}")
         out_doc["results"].append(
             {"group_a": a, "group_b": b, "x2": t.x2, "df": t.df, "p": t.p,
-             "p_corrected": p_corr, "significant": sig}
+             "p_corrected": p, "significant": sig}
         )
     if args.out:
         Path(args.out).write_text(json.dumps(out_doc, indent=2) + "\n", encoding="utf-8")
@@ -242,12 +244,7 @@ def cmd_phase_density(args):
 
 
 def cmd_gof(args):
-    ds = _load_dataset(args)
-    params = tgio.load_model(args.model)
-    if params.d != ds.d:
-        raise DomainError(f"model dimension {params.d} does not match data dimension {ds.d}")
-    moments = accumulate_moments(ds.angles)
-    fit = FitResult(params=params, moments=moments, method="loaded", residual_norm=0.0)
+    ds, fit = _load_fit(args)
     res = goodness_of_fit(ds.angles, fit, n_synth=args.n_synth, seed=args.seed)
     print(f"goodness of fit against {args.n_synth} synthetic draws (seed {args.seed}):")
     print(f"  marginals          combined p = {res['p_marginal']:.4g}")

@@ -8,6 +8,12 @@ unpenalized estimate solves the linear system Gamma_hat phi = H_hat. No
 normalization constant is ever needed, which is the whole point: the
 likelihood's normalizer is intractable here.
 
+D is never built densely for a batch. Column l of D is a signed gather of
+the statistics themselves (:func:`torusgraphs.model._derivative_table`): only
+the 4d - 2 coordinates touching node l are nonzero, so Gamma_hat is a sum over
+nodes of (4d - 2)-square Gram blocks A_l' A_l scattered onto those
+coordinates, O(N d^3) work.
+
 Affine submodels are handled by index deletion (rows/columns of masked
 coordinates are dropped and the solution re-embedded with exact zeros). The
 sparse variant adds a group penalty on each coupling block, solved by
@@ -24,7 +30,7 @@ from .exceptions import ConvergenceError, DomainError, SingularMomentsError
 from .model import (
     Family,
     TorusGraphParams,
-    _edge_index_arrays,
+    _derivative_table,
     coupling_slice,
     edge_list,
     family_mask,
@@ -42,52 +48,31 @@ def jacobian_D(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise DomainError("x must be a 1-D angle vector")
-    return _jacobian_batch(x[None, :])[0]
-
-
-def _jacobian_batch(X):
-    """Stacked Jacobians for an (n, d) angle matrix -> (n, 2d^2, d)."""
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    m = param_dim(d)
-    D = np.zeros((n, m, d))
-    nodes = np.arange(d)
-    cosX = np.cos(X)
-    sinX = np.sin(X)
-    D[:, 2 * nodes, nodes] = -sinX
-    D[:, 2 * nodes + 1, nodes] = cosX
-    if d > 1:
-        jj, kk = _edge_index_arrays(d)
-        t = np.arange(jj.size)
-        diff = X[:, jj] - X[:, kk]
-        summ = X[:, jj] + X[:, kk]
-        sin_d, cos_d = np.sin(diff), np.cos(diff)
-        sin_s, cos_s = np.sin(summ), np.cos(summ)
-        r = 2 * d + 4 * t
-        D[:, r, jj] = -sin_d
-        D[:, r, kk] = sin_d
-        D[:, r + 1, jj] = cos_d
-        D[:, r + 1, kk] = -cos_d
-        D[:, r + 2, jj] = -sin_s
-        D[:, r + 2, kk] = -sin_s
-        D[:, r + 3, jj] = cos_s
-        D[:, r + 3, kk] = cos_s
+    d = x.size
+    idx, src, sign = _derivative_table(d)
+    D = np.zeros((param_dim(d), d))
+    D[idx, np.arange(d)[:, None]] = sign * suff_stats_batch(x)[0][src]
     return D
 
 
-def _h_batch(X):
-    """H(x) = [S1, 2 S2] for each row of X -> (n, 2d^2)."""
-    X = np.asarray(X, dtype=float)
-    d = X.shape[1]
-    H = suff_stats_batch(X)
+def _h_rows(S, d):
+    """H(x) = [S1, 2 S2] from statistic rows S -> same shape (a copy)."""
+    H = S.copy()
     H[:, 2 * d :] *= 2.0
     return H
 
 
+def _stat_chunks(X):
+    """Statistics of fixed-size row blocks of X (a fixed summation order)."""
+    for start in range(0, X.shape[0], _CHUNK):
+        yield suff_stats_batch(X[start : start + _CHUNK])
+
+
 def gamma_H_of_sample(x):
     """Per-sample moment contributions Gamma(x) = D D^T and H(x) = [S1, 2 S2]."""
+    x = np.asarray(x, dtype=float)
     D = jacobian_D(x)
-    return D @ D.T, _h_batch(np.asarray(x, dtype=float)[None, :])[0]
+    return D @ D.T, _h_rows(suff_stats_batch(x), x.size)[0]
 
 
 @dataclass(frozen=True)
@@ -132,21 +117,25 @@ def _pairwise_reduce(blocks):
 def accumulate_moments(data):
     """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix.
 
-    Accumulation is chunked with a pairwise reduction over chunk sums, so the
-    result is deterministic and order-stable to ~1e-10 even for large N*d.
+    Per chunk of rows, each node's Gram block A_l' A_l is added onto its
+    4d - 2 coordinates; chunk sums are combined by a pairwise reduction, so
+    the result is deterministic and order-stable to ~1e-10 even for large N*d.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
     if n < 1:
         raise DomainError("need at least one sample")
+    m = param_dim(d)
+    table = _derivative_table(d)
     g_parts = []
     h_parts = []
-    for start in range(0, n, _CHUNK):
-        chunk = X[start : start + _CHUNK]
-        D = _jacobian_batch(chunk)
-        flat = np.ascontiguousarray(D.transpose(1, 0, 2)).reshape(param_dim(d), -1)
-        g_parts.append(flat @ flat.T)
-        h_parts.append(_h_batch(chunk).sum(axis=0))
+    for S in _stat_chunks(X):
+        g = np.zeros((m, m))
+        for coords, src, sign in zip(*table):
+            A = S[:, src] * sign  # dS[:, coords] / dx_l, all rows of the chunk
+            g[np.ix_(coords, coords)] += A.T @ A
+        g_parts.append(g)
+        h_parts.append(_h_rows(S, d).sum(axis=0))
     gamma = _pairwise_reduce(g_parts) / n
     gamma = 0.5 * (gamma + gamma.T)
     h = _pairwise_reduce(h_parts) / n
@@ -185,8 +174,9 @@ def _active_indices(d, family, zero_edges=None):
     return np.nonzero(active)[0]
 
 
-def _solve_spd(G, b, n, m_total):
-    """Cholesky solve with a 1-norm condition estimate guard."""
+def _checked_cholesky(G, n, m_total):
+    """Cholesky factor (for scipy.linalg.cho_solve) of a moment block, with a
+    1-norm condition estimate guard."""
     try:
         cho = scipy.linalg.cho_factor(G, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -194,6 +184,8 @@ def _solve_spd(G, b, n, m_total):
             f"moment matrix is singular: N={n} samples for {m_total} coefficients "
             f"(need N well above 2d)"
         ) from exc
+    if G.size == 0:
+        return cho
     anorm = np.abs(G).sum(axis=0).max()
     rcond, info = scipy.linalg.lapack.dpocon(cho[0], anorm, uplo="L")
     if info != 0 or rcond <= 0 or 1.0 / rcond > _COND_LIMIT:
@@ -202,7 +194,7 @@ def _solve_spd(G, b, n, m_total):
             f"moment matrix too ill-conditioned (condition estimate {cond:.3g}): "
             f"N={n} samples for {m_total} coefficients"
         )
-    return scipy.linalg.cho_solve(cho, b, check_finite=False)
+    return cho
 
 
 def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
@@ -219,7 +211,8 @@ def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     idx = _active_indices(d, family, zero_edges)
     G = moments.gamma_hat[np.ix_(idx, idx)]
     b = moments.h_hat[idx]
-    sol = _solve_spd(G, b, moments.n, param_dim(d))
+    cho = _checked_cholesky(G, moments.n, param_dim(d))
+    sol = scipy.linalg.cho_solve(cho, b, check_finite=False)
     phi = np.zeros(param_dim(d))
     phi[idx] = sol
     residual = float(np.max(np.abs(G @ sol - b))) if idx.size else 0.0

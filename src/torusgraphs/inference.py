@@ -3,33 +3,33 @@
 The estimator solves an unbiased linear estimating equation, so sqrt(N) times
 the estimation error is asymptotically normal with the sandwich covariance
 Gamma^-1 V Gamma^-1, where V is the second moment of the per-sample residual
-Gamma(x) phi - H(x). Quadratic forms of coefficient blocks against that
-covariance give chi-squared statistics with one degree of freedom per tested
-coordinate: 4 for a full coupling block, 2 for its rotational or reflectional
-half, and 2|E| or 4|E| for groups of edges.
+Gamma(x) phi - H(x), formed from the same derivative table as the moments:
+entry l of D(x)' phi is A_l phi[coords_l], mapped back by A_l onto coords_l.
+Quadratic forms of coefficient blocks against that covariance give
+chi-squared statistics with one degree of freedom per tested coordinate: 4
+for a full coupling block, 2 for its rotational or reflectional half, and
+2|E| or 4|E| for groups of edges. Multiple testing is corrected in one place,
+:func:`correct_pvalues`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .circular import bessel_ratio, chi2_sf, fisher_combine, ks_two_sample, wrap_angle
 from .estimation import (
     FitResult,
-    _h_batch,
-    _jacobian_batch,
+    _checked_cholesky,
+    _h_rows,
     _pairwise_reduce,
+    _stat_chunks,
     accumulate_moments,
     fit_group_lasso,
     select_lambda_cv,
 )
-from .exceptions import (
-    DegenerateTestError,
-    DomainError,
-    FamilyScopeError,
-    SingularMomentsError,
-)
-from .model import Family, coupling_slice, edge_list, param_dim
+from .exceptions import DegenerateTestError, DomainError, FamilyScopeError
+from .model import Family, _derivative_table, coupling_slice, edge_list, param_dim
 from .sampling import GibbsConfig, gibbs_sample
 
 MODE_FULL = "full"
@@ -39,8 +39,6 @@ MODE_REFLECTIONAL = "refl"
 CORRECTION_NONE = "none"
 CORRECTION_BONFERRONI = "bonferroni"
 
-_CHUNK = 256
-
 
 def asymptotic_cov(data, params, moments=None):
     """Sandwich covariance of sqrt(N)(phi_hat - phi) on the family's active set.
@@ -49,7 +47,8 @@ def asymptotic_cov(data, params, moments=None):
     V_hat = mean(r r'); the covariance is Gamma_hat^-1 V_hat Gamma_hat^-1 on
     active coordinates, returned embedded in the full 2d^2 layout (inactive
     rows/columns zero). ``params`` may be the fitted or a null coefficient
-    vector.
+    vector. Raises SingularMomentsError under the same Cholesky and
+    condition guard as the closed-form fit.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
@@ -59,25 +58,20 @@ def asymptotic_cov(data, params, moments=None):
         moments = accumulate_moments(X)
     m = param_dim(d)
     phi = params.phi
+    table = _derivative_table(d)
     v_parts = []
-    for start in range(0, n, _CHUNK):
-        chunk = X[start : start + _CHUNK]
-        D = _jacobian_batch(chunk)
-        proj = np.einsum("nmd,m->nd", D, phi)
-        r = np.einsum("nmd,nd->nm", D, proj) - _h_batch(chunk)
+    for S in _stat_chunks(X):
+        r = -_h_rows(S, d)
+        for coords, src, sign in zip(*table):
+            A = S[:, src] * sign
+            r[:, coords] += A * (A @ phi[coords])[:, None]
         v_parts.append(r.T @ r)
     V = _pairwise_reduce(v_parts) / n
     idx = np.nonzero(params.active)[0]
     G = moments.gamma_hat[np.ix_(idx, idx)]
-    V_a = V[np.ix_(idx, idx)]
-    try:
-        inner = np.linalg.solve(G, V_a)
-        sigma_a = np.linalg.solve(G, inner.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularMomentsError(
-            f"singular moment matrix in the sandwich covariance: N={moments.n} "
-            f"samples for {m} coefficients"
-        ) from exc
+    cho = _checked_cholesky(G, moments.n, m)
+    inner = scipy.linalg.cho_solve(cho, V[np.ix_(idx, idx)], check_finite=False)
+    sigma_a = scipy.linalg.cho_solve(cho, inner.T, check_finite=False).T
     sigma_a = 0.5 * (sigma_a + sigma_a.T)
     sigma = np.zeros((m, m))
     sigma[np.ix_(idx, idx)] = sigma_a
@@ -197,18 +191,30 @@ class GraphStructure:
         return [(j, k) for j in range(self.d) for k in range(j + 1, self.d) if self.adjacency[j, k]]
 
 
-def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
-    """Threshold edgewise tests into a graph.
+def correct_pvalues(pvals, correction):
+    """Multiple-testing adjustment of one family of p-values.
 
-    Bonferroni multiplies each p-value by the number of tests (clamped to 1).
-    Duplicate edges are rejected; ``d`` is inferred from the largest node
-    index when not given.
+    ``none`` keeps them; ``bonferroni`` multiplies each by the number of
+    tests, clamped to 1.
     """
     if correction not in (CORRECTION_NONE, CORRECTION_BONFERRONI):
         raise DomainError(f"unknown correction {correction!r}")
+    p = np.asarray(pvals, dtype=float)
+    factor = p.size if correction == CORRECTION_BONFERRONI else 1
+    return np.minimum(1.0, p * factor)
+
+
+def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
+    """Threshold edgewise tests into a graph.
+
+    P-values are adjusted by :func:`correct_pvalues` over all the tests.
+    Duplicate edges are rejected; ``d`` is inferred from the largest node
+    index when not given.
+    """
+    tests = list(tests)
+    p_corr = correct_pvalues([t.p for t in tests], correction)
     if not 0 < alpha <= 1:
         raise DomainError("alpha must be in (0, 1]")
-    tests = list(tests)
     seen = set()
     for t in tests:
         if t.edge in seen:
@@ -218,12 +224,10 @@ def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
         d = 1 + max((max(t.edge) for t in tests), default=0)
     adjacency = np.zeros((d, d), dtype=bool)
     pvals = np.ones((d, d))
-    factor = len(tests) if correction == CORRECTION_BONFERRONI else 1
-    for t in tests:
+    for t, p in zip(tests, p_corr):
         j, k = t.edge
-        p_corr = min(1.0, t.p * factor)
-        pvals[j, k] = pvals[k, j] = p_corr
-        if p_corr <= alpha:
+        pvals[j, k] = pvals[k, j] = p
+        if p <= alpha:
             adjacency[j, k] = adjacency[k, j] = True
     return GraphStructure(
         d=d, adjacency=adjacency, pvals=pvals, alpha=float(alpha),

@@ -170,33 +170,18 @@ def suff_stats(x):
 
     s1 stacks (cos x_j, sin x_j) per node; s2 stacks
     (cos(x_j - x_k), sin(x_j - x_k), cos(x_j + x_k), sin(x_j + x_k))
-    per pair j < k.
+    per pair j < k. A one-row view of :func:`suff_stats_batch`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise DomainError("x must be a 1-D angle vector")
-    d = x.size
-    s1 = np.empty(2 * d)
-    s1[0::2] = np.cos(x)
-    s1[1::2] = np.sin(x)
-    if d == 1:
-        return SufficientStats(s1, np.zeros(0))
-    jj, kk = _edge_index_arrays(d)
-    diff = x[jj] - x[kk]
-    summ = x[jj] + x[kk]
-    s2 = np.empty(4 * jj.size)
-    s2[0::4] = np.cos(diff)
-    s2[1::4] = np.sin(diff)
-    s2[2::4] = np.cos(summ)
-    s2[3::4] = np.sin(summ)
-    return SufficientStats(s1, s2)
+    full = suff_stats_batch(x)[0]
+    return SufficientStats(full[: 2 * x.size], full[2 * x.size :])
 
 
 def _edge_index_arrays(d):
-    pairs = edge_list(d)
-    jj = np.fromiter((j for j, _ in pairs), dtype=int, count=len(pairs))
-    kk = np.fromiter((k for _, k in pairs), dtype=int, count=len(pairs))
-    return jj, kk
+    """First and second nodes of every pair, in canonical edge order."""
+    return np.triu_indices(d, 1)
 
 
 def suff_stats_batch(X):
@@ -215,6 +200,30 @@ def suff_stats_batch(X):
         out[:, 2 * d + 2 :: 4] = np.cos(summ)
         out[:, 2 * d + 3 :: 4] = np.sin(summ)
     return out
+
+
+def _derivative_table(d):
+    """Derivatives of the sufficient statistics as a signed gather of them.
+
+    Returns (idx, src, sign), each (d, 4d - 2): row l lists the coordinates
+    that depend on x_l, so that dS[:, idx[l]] / dx_l = sign[l] * S[:, src[l]]
+    for statistics S of shape (n, 2d^2). Every such coordinate is half of a
+    (cos u, sin u) pair with du/dx_l = w = +-1 (-1 only for x_k in x_j - x_k),
+    whose derivatives are (-w sin u, w cos u).
+    """
+    nodes = np.arange(d)
+    jj, kk = _edge_index_arrays(d)
+    rank = np.zeros((d, d), dtype=int)
+    rank[jj, kk] = rank[kk, jj] = np.arange(jj.size)
+    partner = np.arange(d - 1) + (np.arange(d - 1) >= nodes[:, None])  # (d, d - 1)
+    start = 2 * d + 4 * rank[nodes[:, None], partner]
+    cos_at = np.hstack([2 * nodes[:, None], start, start + 2])  # (d, 2d - 1) pairs
+    w = np.hstack([np.ones((d, 1)), np.where(nodes[:, None] < partner, 1.0, -1.0),
+                   np.ones((d, d - 1))])
+    idx = np.stack([cos_at, cos_at + 1], axis=2).reshape(d, -1)
+    src = np.stack([cos_at + 1, cos_at], axis=2).reshape(d, -1)
+    sign = np.stack([-w, w], axis=2).reshape(d, -1)
+    return idx, src, sign
 
 
 def log_unnorm_density(params, x):

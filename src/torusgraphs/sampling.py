@@ -1,12 +1,12 @@
 """Gibbs sampling via exact von Mises full conditionals.
 
 The conditional of one coordinate given the rest collapses, by harmonic
-addition, to a single von Mises density: the marginal block contributes an
-amplitude/phase pair (kappa_k, mu_k) and each coupling block contributes four
-terms whose phases are built from the conditioning angles. Writing the
-conditional exponent as b_x cos(x_k) + b_y sin(x_k), the contributions reduce
-to linear combinations of cos(x_j) and sin(x_j) with coefficients fixed by the
-coupling block, which is what the sweep loop precomputes.
+addition, to a single von Mises density. Writing the conditional exponent as
+b_x cos(x_k) + b_y sin(x_k), the marginal block contributes the constant
+terms and each coupling block contributes linear combinations of cos(x_j) and
+sin(x_j) with coefficients fixed by the block. Those coefficients are
+computed once (:func:`_conditional_coefficients`) and serve both the sweep
+loop and :func:`conditional_von_mises`.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import harmonic_addition, wrap_angle
+from .circular import wrap_angle
 from .exceptions import DomainError
 from .model import TorusGraphParams, edge_list
 
@@ -93,18 +93,16 @@ def conditional_von_mises(params, k, x_rest):
         raise DomainError(f"node index {k} out of range for d={d}")
     if x_rest.shape != (d - 1,):
         raise DomainError(f"x_rest must have length {d - 1}")
-    others = [j for j in range(d) if j != k]
-    amps = [np.hypot(*params.marginal_block(k))]
-    phases = [np.arctan2(params.marginal_block(k)[1], params.marginal_block(k)[0])]
-    for pos, j in enumerate(others):
-        jj, kk = min(j, k), max(j, k)
-        a, b, g, dl = params.coupling_block(jj, kk)
-        h = -1.0 if j < k else 1.0
-        xj = x_rest[pos]
-        amps.extend([a, b, g, dl])
-        phases.extend([xj, xj + h * np.pi / 2.0, -xj, -xj + np.pi / 2.0])
-    amp, delta = harmonic_addition(amps, phases)
-    return amp, delta
+    cx_c, cx_s, cy_c, cy_s = _conditional_coefficients(params)
+    # x_k itself meets only the zero diagonal of the coefficient matrices
+    x = np.insert(x_rest, k, 0.0)
+    c, s = np.cos(x), np.sin(x)
+    bx = params.phi[2 * k] + cx_c[k] @ c + cx_s[k] @ s
+    by = params.phi[2 * k + 1] + cy_c[k] @ c + cy_s[k] @ s
+    amp = float(np.hypot(bx, by))
+    if amp == 0.0:
+        return 0.0, 0.0
+    return amp, wrap_angle(np.arctan2(by, bx))
 
 
 def gibbs_sample(params, cfg):

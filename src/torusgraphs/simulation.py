@@ -16,7 +16,7 @@ import numpy as np
 from .circular import rayleigh_statistic, rayleigh_test, von_mises_sample, wrap_angle
 from .estimation import fit_closed_form
 from .exceptions import DomainError
-from .inference import asymptotic_cov, edge_test
+from .inference import asymptotic_cov, correct_pvalues, edge_test
 from .model import Family, TorusGraphParams, coupling_slice, edge_list, param_dim
 from .sampling import GibbsConfig, gibbs_sample
 
@@ -224,9 +224,7 @@ def _interp_roc(fpr, tpr, grid):
 
 
 def _decision_rates(pvals, truth, pairs, alpha, correction):
-    m = len(pairs)
-    factor = m if correction == "bonferroni" else 1
-    reject = np.array([min(1.0, p * factor) <= alpha for p in pvals])
+    reject = correct_pvalues(pvals, correction) <= alpha
     labels = np.array([truth.has_edge(j, k) for j, k in pairs])
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos

@@ -240,3 +240,29 @@ class TestExitCodes:
         save_model(model, TorusGraphParams(d=3, phi=np.zeros(18)))
         assert main(["test", str(data), "--model", str(model), "--alpha", "0.05",
                      "--out", str(tmp_path / "g.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["region-test", "gof"])
+    def test_dimension_mismatch_other_model_commands(self, tmp_path, command):
+        from torusgraphs.io import save_model
+
+        data = tmp_path / "d.csv"
+        save_samples_csv(data, np.random.default_rng(3).uniform(0, 2 * np.pi, size=(50, 2)))
+        model = tmp_path / "m.json"
+        save_model(model, TorusGraphParams(d=3, phi=np.zeros(18)))
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"schema_version": 1, "groups": {"a": [0], "b": [1]}}))
+        extra = ["--groups", str(groups)] if command == "region-test" else []
+        assert main([command, str(data), "--model", str(model)] + extra) == 2
+
+    def test_numerical_error_ill_conditioned_sandwich(self, tmp_path):
+        # duplicated channel: the sandwich solve hits the condition guard
+        from torusgraphs.io import save_model
+
+        X = np.random.default_rng(4).uniform(0, 2 * np.pi, size=(400, 3))
+        X[:, 1] = X[:, 0]
+        data = tmp_path / "dup.csv"
+        save_samples_csv(data, X)
+        model = tmp_path / "m.json"
+        save_model(model, TorusGraphParams(d=3, phi=np.zeros(18)))
+        assert main(["test", str(data), "--model", str(model),
+                     "--out", str(tmp_path / "g.json")]) == 3

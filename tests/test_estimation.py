@@ -206,6 +206,14 @@ class TestClosedForm:
         with pytest.raises(SingularMomentsError, match="N=5"):
             fit_closed_form(X)
 
+    def test_empty_active_set(self):
+        # d = 1 with uniform margins leaves no free coefficient: the fit is
+        # the uniform distribution, not a failed factorization
+        X = np.random.default_rng(52).uniform(0, 2 * np.pi, size=(50, 1))
+        fit = fit_closed_form(X, family=Family.UNIFORM_MARGINAL)
+        np.testing.assert_array_equal(fit.params.phi, [0.0, 0.0])
+        assert fit.residual_norm == 0.0
+
     def test_rotation_equivariance_of_block_norms(self):
         # rotating one channel is an orthogonal reparameterization, so fitted
         # coupling-block norms are preserved (to rounding, far below 3 SE)

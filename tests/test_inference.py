@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from torusgraphs.estimation import accumulate_moments, fit_closed_form
-from torusgraphs.exceptions import DomainError, FamilyScopeError
+from torusgraphs.exceptions import DomainError, FamilyScopeError, SingularMomentsError
 from torusgraphs.inference import (
     CORRECTION_BONFERRONI,
     CORRECTION_NONE,
@@ -18,6 +18,7 @@ from torusgraphs.inference import (
     asymptotic_cov,
     bootstrap_null_test,
     build_graph,
+    correct_pvalues,
     edge_test,
     goodness_of_fit,
     group_edge_test,
@@ -79,6 +80,18 @@ class TestAsymptoticCov:
         p = TorusGraphParams(d=3, phi=np.zeros(18))
         with pytest.raises(DomainError):
             asymptotic_cov(np.zeros((10, 2)), p)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-7])
+    def test_ill_conditioned_moments_raise(self, jitter):
+        # two (nearly) identical channels: the sine of their difference is
+        # (nearly) constant, so its row of the active Gamma (nearly) vanishes
+        rng = np.random.default_rng(65)
+        X = rng.uniform(0, 2 * np.pi, size=(400, 3))
+        X[:, 1] = X[:, 0] + jitter * rng.standard_normal(400)
+        params = TorusGraphParams(d=3, phi=np.zeros(18))
+        moments = accumulate_moments(X)
+        with pytest.raises(SingularMomentsError, match="N=400"):
+            asymptotic_cov(X, params, moments=moments)
 
 
 class TestEdgeTest:
@@ -225,6 +238,22 @@ class TestBuildGraph:
         tests = self._tests([0.1, 0.2, 0.3]) + self._tests([0.4, 0.5, 0.6])
         with pytest.raises(DomainError):
             build_graph(tests, alpha=0.05)
+
+
+class TestCorrectPvalues:
+    def test_none_keeps_pvalues(self):
+        np.testing.assert_array_equal(correct_pvalues([0.01, 0.5], CORRECTION_NONE), [0.01, 0.5])
+
+    def test_bonferroni_scales_by_test_count_and_clamps(self):
+        np.testing.assert_array_equal(
+            correct_pvalues([0.01, 0.2, 0.5], CORRECTION_BONFERRONI), [0.03, 0.6000000000000001, 1.0]
+        )
+
+    def test_unknown_correction_rejected(self):
+        with pytest.raises(DomainError, match="holm"):
+            correct_pvalues([0.1], "holm")
+        with pytest.raises(DomainError):
+            build_graph([], alpha=0.05, correction="holm")
 
 
 class TestPartialPlv:

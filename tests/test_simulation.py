@@ -214,6 +214,12 @@ class TestPlvRecoveryExperiment:
         mcse = np.sqrt(0.05 * 0.95 / (40 * 10))
         assert summary.fpr_at_alpha <= 0.05 + 2 * mcse
 
+    def test_unknown_correction_rejected(self):
+        # the decision rule is build_graph's, unknown names included
+        spec = GeneratorSpec(kind="uniform-null", options={"d": 3})
+        with pytest.raises(DomainError, match="unknown correction"):
+            plv_recovery_experiment(spec, n_reps=1, N=100, correction="holm")
+
 
 class TestFprControlInvariant:
     def test_torus_null_fpr_both_corrections(self):
