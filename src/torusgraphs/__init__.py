@@ -49,6 +49,7 @@ from .exceptions import (
 from .inference import (
     EdgeTest,
     GraphStructure,
+    SandwichCov,
     asymptotic_cov,
     bootstrap_null_test,
     build_graph,

@@ -103,23 +103,38 @@ class ScoreMatchingMoments:
 
 
 def _pairwise_reduce(blocks):
-    """Tree-sum a list of equal-shape arrays (controlled rounding)."""
-    while len(blocks) > 1:
-        paired = []
-        for i in range(0, len(blocks) - 1, 2):
-            paired.append(blocks[i] + blocks[i + 1])
-        if len(blocks) % 2:
-            paired.append(blocks[-1])
-        blocks = paired
-    return blocks[0]
+    """Tree-sum an iterable of equal-shape arrays (controlled rounding).
+
+    The blocks are consumed lazily and summed in place: a binary-counter
+    carry stack merges two partial sums of 2^j blocks as soon as both exist,
+    and what is left is folded from the lowest level up. That is the tree of
+    pairing neighbours level by level, with at most floor(log2 k) + 1
+    partial sums alive for k blocks.
+    """
+    stack = []  # (level, partial sum of 2^level blocks), levels decreasing
+    for block in blocks:
+        level = 0
+        while stack and stack[-1][0] == level:
+            left = stack.pop()[1]
+            left += block
+            block = left
+            level += 1
+        stack.append((level, block))
+    total = stack.pop()[1]
+    while stack:
+        left = stack.pop()[1]
+        left += total
+        total = left
+    return total
 
 
 def accumulate_moments(data):
     """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix.
 
     Per chunk of rows, each node's Gram block A_l' A_l is added onto its
-    4d - 2 coordinates; chunk sums are combined by a pairwise reduction, so
-    the result is deterministic and order-stable to ~1e-10 even for large N*d.
+    4d - 2 coordinates; chunk sums are combined by a pairwise reduction as
+    they are made, so the result is deterministic and order-stable to ~1e-10
+    even for large N*d.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
@@ -127,16 +142,18 @@ def accumulate_moments(data):
         raise DomainError("need at least one sample")
     m = param_dim(d)
     table = _derivative_table(d)
-    g_parts = []
     h_parts = []
-    for S in _stat_chunks(X):
-        g = np.zeros((m, m))
-        for coords, src, sign in zip(*table):
-            A = S[:, src] * sign  # dS[:, coords] / dx_l, all rows of the chunk
-            g[np.ix_(coords, coords)] += A.T @ A
-        g_parts.append(g)
-        h_parts.append(_h_rows(S, d).sum(axis=0))
-    gamma = _pairwise_reduce(g_parts) / n
+
+    def grams():
+        for S in _stat_chunks(X):
+            g = np.zeros((m, m))
+            for coords, src, sign in zip(*table):
+                A = S[:, src] * sign  # dS[:, coords] / dx_l, all rows of the chunk
+                g[np.ix_(coords, coords)] += A.T @ A
+            h_parts.append(_h_rows(S, d).sum(axis=0))
+            yield g
+
+    gamma = _pairwise_reduce(grams()) / n
     gamma = 0.5 * (gamma + gamma.T)
     h = _pairwise_reduce(h_parts) / n
     return ScoreMatchingMoments(gamma_hat=gamma, h_hat=h, n=n)

@@ -56,3 +56,19 @@ class DegenerateTestError(NumericalError):
 
 class ConvergenceError(NumericalError):
     """Iterative solver failed to converge within its iteration budget."""
+
+
+def add_context(exc, context):
+    """Prefix ``context`` to an exception's message in place and return it.
+
+    The exception keeps its type and attributes (``ParseError.row`` and the
+    like), so a caller can re-raise it with a bare ``raise`` and its handlers
+    and exit codes still match. The message is the first argument when that
+    is a string; otherwise the context is attached as a note where Python
+    supports notes (3.11+).
+    """
+    if exc.args and isinstance(exc.args[0], str):
+        exc.args = (f"{context}: {exc.args[0]}",) + exc.args[1:]
+    elif hasattr(exc, "add_note"):
+        exc.add_note(context)
+    return exc

@@ -2,14 +2,17 @@
 
 The estimator solves an unbiased linear estimating equation, so sqrt(N) times
 the estimation error is asymptotically normal with the sandwich covariance
-Gamma^-1 V Gamma^-1, where V is the second moment of the per-sample residual
-Gamma(x) phi - H(x), formed from the same derivative table as the moments:
-entry l of D(x)' phi is A_l phi[coords_l], mapped back by A_l onto coords_l.
-Quadratic forms of coefficient blocks against that covariance give
-chi-squared statistics with one degree of freedom per tested coordinate: 4
-for a full coupling block, 2 for its rotational or reflectional half, and
-2|E| or 4|E| for groups of edges. Multiple testing is corrected in one place,
-:func:`correct_pvalues`.
+Sigma = Gamma^-1 V Gamma^-1, where V is the second moment of the per-sample
+residual Gamma(x) phi - H(x), formed from the same derivative table as the
+moments: entry l of D(x)' phi is A_l phi[coords_l], mapped back by A_l onto
+coords_l. Sigma is never formed. With R the (N, |active|) residual rows on
+the family's active coordinates, Sigma = F'F for the factor
+F = R Gamma^-1 / sqrt(N), and a test reads only the block F_c'F_c of the
+coordinates c it tests (:class:`SandwichCov`). Quadratic forms of coefficient
+blocks against that covariance give chi-squared statistics with one degree of
+freedom per tested coordinate: 4 for a full coupling block, 2 for its
+rotational or reflectional half, and 2|E| or 4|E| for groups of edges.
+Multiple testing is corrected in one place, :func:`correct_pvalues`.
 """
 
 from dataclasses import dataclass
@@ -22,13 +25,12 @@ from .estimation import (
     FitResult,
     _checked_cholesky,
     _h_rows,
-    _pairwise_reduce,
     _stat_chunks,
     accumulate_moments,
     fit_group_lasso,
     select_lambda_cv,
 )
-from .exceptions import DegenerateTestError, DomainError, FamilyScopeError
+from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
 from .model import Family, _derivative_table, coupling_slice, edge_list, param_dim
 from .sampling import GibbsConfig, gibbs_sample
 
@@ -40,15 +42,40 @@ CORRECTION_NONE = "none"
 CORRECTION_BONFERRONI = "bonferroni"
 
 
+@dataclass(frozen=True)
+class SandwichCov:
+    """Sandwich covariance Sigma of sqrt(N)(phi_hat - phi), held as a factor.
+
+    ``factor`` is the (N, |active|) matrix F with Sigma = F'F on the family's
+    active coordinates; ``position`` maps each of the 2d^2 coordinates to its
+    column of F, or -1 where the family masks it (Sigma is zero there).
+    """
+
+    factor: np.ndarray
+    position: np.ndarray
+
+    def block(self, coords):
+        """Sigma restricted to ``coords`` (coordinates of the full layout)."""
+        cols = self.position[np.asarray(coords, dtype=int)]
+        if np.any(cols < 0):
+            raise FamilyScopeError(
+                "covariance block requested on a coordinate masked by the family"
+            )
+        F = self.factor[:, cols]
+        return F.T @ F
+
+
 def asymptotic_cov(data, params, moments=None):
     """Sandwich covariance of sqrt(N)(phi_hat - phi) on the family's active set.
 
-    Residuals r_n = Gamma(x_n) phi - H(x_n) are averaged into
-    V_hat = mean(r r'); the covariance is Gamma_hat^-1 V_hat Gamma_hat^-1 on
-    active coordinates, returned embedded in the full 2d^2 layout (inactive
-    rows/columns zero). ``params`` may be the fitted or a null coefficient
-    vector. Raises SingularMomentsError under the same Cholesky and
-    condition guard as the closed-form fit.
+    With residual rows r_n = Gamma(x_n) phi - H(x_n) on the active
+    coordinates, V_hat = R'R / N and Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1
+    = F'F for the factor F = R Gamma_hat^-1 / sqrt(N), which is all that is
+    formed: one Cholesky of the active Gamma block and one solve against R,
+    written in place. Tests read small blocks of Sigma through
+    :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
+    coefficient vector. Raises SingularMomentsError under the same Cholesky
+    and condition guard as the closed-form fit.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
@@ -57,25 +84,27 @@ def asymptotic_cov(data, params, moments=None):
     if moments is None:
         moments = accumulate_moments(X)
     m = param_dim(d)
+    idx = np.nonzero(params.active)[0]
+    cho = _checked_cholesky(moments.gamma_hat[np.ix_(idx, idx)], moments.n, m)
     phi = params.phi
     table = _derivative_table(d)
-    v_parts = []
+    R = np.empty((n, idx.size))
+    start = 0
     for S in _stat_chunks(X):
         r = -_h_rows(S, d)
         for coords, src, sign in zip(*table):
             A = S[:, src] * sign
             r[:, coords] += A * (A @ phi[coords])[:, None]
-        v_parts.append(r.T @ r)
-    V = _pairwise_reduce(v_parts) / n
-    idx = np.nonzero(params.active)[0]
-    G = moments.gamma_hat[np.ix_(idx, idx)]
-    cho = _checked_cholesky(G, moments.n, m)
-    inner = scipy.linalg.cho_solve(cho, V[np.ix_(idx, idx)], check_finite=False)
-    sigma_a = scipy.linalg.cho_solve(cho, inner.T, check_finite=False).T
-    sigma_a = 0.5 * (sigma_a + sigma_a.T)
-    sigma = np.zeros((m, m))
-    sigma[np.ix_(idx, idx)] = sigma_a
-    return sigma
+        # the indices are in range; mode="raise" would write through a buffer
+        np.take(r, idx, axis=1, out=R[start : start + r.shape[0]], mode="clip")
+        start += r.shape[0]
+    # R' is Fortran-ordered, so the solve overwrites R with R Gamma^-1
+    scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
+    R *= 1.0 / np.sqrt(n)
+    R.flags.writeable = False
+    position = -np.ones(m, dtype=int)
+    position[idx] = np.arange(idx.size)
+    return SandwichCov(factor=R, position=position)
 
 
 @dataclass(frozen=True)
@@ -116,7 +145,7 @@ def _block_coords(fit, j, k, mode):
 
 def _quadratic_test(fit, cov, coords):
     phi_e = fit.params.phi[coords]
-    sigma_e = cov[np.ix_(coords, coords)]
+    sigma_e = cov.block(coords)
     try:
         sol = np.linalg.solve(sigma_e, phi_e)
     except np.linalg.LinAlgError as exc:
@@ -357,7 +386,8 @@ def bootstrap_null_test(
             )
             boot_fit = cv_fit(Xb, rep_seed)
         except Exception as exc:
-            raise type(exc)(f"bootstrap replicate {b}: {exc}") from exc
+            add_context(exc, f"bootstrap replicate {b} (seed {rep_seed})")
+            raise
         if _bootstrap_statistic(boot_fit.params, null_edges, statistic) >= observed:
             exceed += 1
     return (1 + exceed) / (B + 1)

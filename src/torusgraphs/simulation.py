@@ -15,7 +15,7 @@ import numpy as np
 
 from .circular import rayleigh_statistic, rayleigh_test, von_mises_sample, wrap_angle
 from .estimation import fit_closed_form
-from .exceptions import DomainError
+from .exceptions import DomainError, add_context
 from .inference import asymptotic_cov, correct_pvalues, edge_test
 from .model import Family, TorusGraphParams, coupling_slice, edge_list, param_dim
 from .sampling import GibbsConfig, gibbs_sample
@@ -276,7 +276,8 @@ def recovery_experiment(gen, n_reps, N, alpha=0.001, correction="bonferroni", se
             pairs = edge_list(truth.d)
             tests = [edge_test(fit, cov, j, k, mode=mode) for j, k in pairs]
         except Exception as exc:
-            raise type(exc)(f"replicate {rep} (seed {rep_seed}): {exc}") from exc
+            add_context(exc, f"replicate {rep} (seed {rep_seed})")
+            raise
         scores = [t.x2 for t in tests]
         pvals = [t.p for t in tests]
         fpr_pts, tpr_pts = _roc_points(scores, truth, pairs)
@@ -304,7 +305,8 @@ def plv_recovery_experiment(gen, n_reps, N, alpha=0.001, correction="bonferroni"
             scores = [rayleigh_statistic(w) for w in diffs]
             pvals = [rayleigh_test(w) for w in diffs]
         except Exception as exc:
-            raise type(exc)(f"replicate {rep} (seed {rep_seed}): {exc}") from exc
+            add_context(exc, f"replicate {rep} (seed {rep_seed})")
+            raise
         fpr_pts, tpr_pts = _roc_points(scores, truth, pairs)
         fpr, fnr = _decision_rates(pvals, truth, pairs, alpha, correction)
         per_rep.append((fpr_pts, tpr_pts, fpr, fnr, None))

@@ -254,6 +254,18 @@ class TestExitCodes:
         extra = ["--groups", str(groups)] if command == "region-test" else []
         assert main([command, str(data), "--model", str(model)] + extra) == 2
 
+    def test_numerical_error_in_bench_replicate(self, tmp_path, capsys):
+        # 5 samples for 32 coefficients: the first replicate's fit is singular
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1,
+            "generator": {"kind": "random", "d": 4, "edge_density": 0.5},
+            "n_reps": 2, "N": 5, "alpha": 0.001, "correction": "bonferroni",
+            "seed": 11, "methods": ["torus"], "family": "full",
+        }))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        assert "replicate 0 (seed " in capsys.readouterr().err
+
     def test_numerical_error_ill_conditioned_sandwich(self, tmp_path):
         # duplicated channel: the sandwich solve hits the condition guard
         from torusgraphs.io import save_model

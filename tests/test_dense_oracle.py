@@ -9,10 +9,19 @@ and einsums, as the package once did. The package must agree with it to
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgraphs.estimation import accumulate_moments, fit_closed_form, jacobian_D
-from torusgraphs.inference import asymptotic_cov
-from torusgraphs.model import Family, TorusGraphParams
+from torusgraphs.exceptions import FamilyScopeError
+from torusgraphs.inference import (
+    MODE_FULL,
+    MODE_REFLECTIONAL,
+    MODE_ROTATIONAL,
+    _block_coords,
+    asymptotic_cov,
+)
+from torusgraphs.model import Family, TorusGraphParams, edge_list
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 
 ATOL = 1e-12
@@ -105,11 +114,11 @@ def dense_cov(X, params, gamma_hat):
     return sigma
 
 
-def coupled_sample(d, seed):
-    """N Gibbs draws from a model with O(1) marginal and coupling blocks."""
+def coupled_sample(d, seed, n=N):
+    """n Gibbs draws from a model with O(1) marginal and coupling blocks."""
     rng = np.random.default_rng(seed)
     params = TorusGraphParams(d=d, phi=rng.normal(scale=0.5, size=param_dim(d)))
-    return gibbs_sample(params, GibbsConfig(n_samples=N, burn_in=100, seed=seed))
+    return gibbs_sample(params, GibbsConfig(n_samples=n, burn_in=100, seed=seed))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -141,4 +150,44 @@ def test_cov_matches_dense(d, family, zeroed):
     fit = fit_closed_form(X, family=family, zero_edges=zero_edges)
     cov = asymptotic_cov(X, fit.params, moments=fit.moments)
     ref = dense_cov(X, fit.params, dense_moments(X)[0])
-    np.testing.assert_allclose(cov, ref, rtol=0, atol=ATOL)
+    active = np.nonzero(fit.params.active)[0]
+    sigma = np.zeros_like(ref)
+    sigma[np.ix_(active, active)] = cov.block(active)
+    np.testing.assert_allclose(sigma, ref, rtol=0, atol=ATOL)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_cov_blocks_match_dense(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    n = data.draw(st.integers(5 * param_dim(d), 600), label="n")
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    edges = edge_list(d)
+    zero_edges = []
+    if edges:
+        zero_edges = data.draw(st.lists(st.sampled_from(edges), unique=True), label="zero_edges")
+    X = coupled_sample(d, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"), n=n)
+    fit = fit_closed_form(X, family=family, zero_edges=zero_edges)
+    cov = asymptotic_cov(X, fit.params, moments=fit.moments)
+    ref = dense_cov(X, fit.params, dense_moments(X)[0])
+
+    def check(coords):
+        np.testing.assert_allclose(cov.block(coords), ref[np.ix_(coords, coords)],
+                                   rtol=0, atol=ATOL)
+
+    for j, k in edges:
+        for mode in (MODE_FULL, MODE_ROTATIONAL, MODE_REFLECTIONAL):
+            try:
+                _, coords = _block_coords(fit, j, k, mode)
+            except FamilyScopeError:
+                continue
+            check(coords)
+    if edges:
+        check([c for j, k in edges for c in _block_coords(fit, j, k, MODE_ROTATIONAL)[1]])
+    masked = np.nonzero(~fit.params.active)[0]
+    if masked.size:
+        active = np.nonzero(fit.params.active)[0]
+        with pytest.raises(FamilyScopeError):
+            cov.block(masked[:1])
+        with pytest.raises(FamilyScopeError):
+            cov.block(np.concatenate([active[:1], masked[-1:]]))

@@ -6,6 +6,7 @@ import pytest
 from torusgraphs.estimation import (
     FitResult,
     ScoreMatchingMoments,
+    _pairwise_reduce,
     accumulate_moments,
     fit_closed_form,
     fit_group_lasso,
@@ -124,6 +125,31 @@ class TestAccumulateMoments:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             accumulate_moments(np.zeros((0, 3)))
+
+
+def _list_pairwise_reduce(blocks):
+    """The former list-based reduction, kept verbatim as the oracle."""
+    while len(blocks) > 1:
+        paired = []
+        for i in range(0, len(blocks) - 1, 2):
+            paired.append(blocks[i] + blocks[i + 1])
+        if len(blocks) % 2:
+            paired.append(blocks[-1])
+        blocks = paired
+    return blocks[0]
+
+
+class TestPairwiseReduce:
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_bitwise_equal_to_list_reduction(self, k):
+        # magnitudes spread over 16 decades so any change of summation
+        # order shows in the last bits
+        rng = np.random.default_rng(1000 + k)
+        blocks = [rng.normal(size=(3, 5)) * 10.0 ** rng.uniform(-8, 8, size=(3, 5))
+                  for _ in range(k)]
+        expected = _list_pairwise_reduce([b.copy() for b in blocks])
+        got = _pairwise_reduce(iter([b.copy() for b in blocks]))
+        assert np.array_equal(got, expected)
 
 
 class TestObjective:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import torusgraphs.inference
 from torusgraphs.circular import plv, rayleigh_test
-from torusgraphs.exceptions import DomainError
+from torusgraphs.exceptions import DomainError, ParseError
+from torusgraphs.inference import bootstrap_null_test
 from torusgraphs.model import Family, apply_family, coupling_slice, edge_list
 from torusgraphs.simulation import (
     GeneratorSpec,
@@ -228,3 +230,66 @@ class TestFprControlInvariant:
             s = recovery_experiment(spec, n_reps=40, N=500, alpha=0.05,
                                     correction=corr, seed=13)
             assert s.fpr_at_alpha <= 0.05 + 2 * s.fpr_mcse()
+
+
+class _TwoArgError(Exception):
+    """An exception whose constructor does not take a single message."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"code {code}: {detail}")
+        self.code = code
+
+
+class _FailingGenerator:
+    """Stands in for a generator spec (or the Gibbs sampler): records the
+    seed of each call and raises ``exc`` on call ``fail_at``."""
+
+    def __init__(self, exc, fail_at=0):
+        self.exc = exc
+        self.fail_at = fail_at
+        self.seeds = []
+
+    def _record(self, seed):
+        self.seeds.append(seed)
+        if len(self.seeds) > self.fail_at:
+            raise self.exc
+        return np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(200, 3))
+
+    def generate(self, N, seed):
+        return self._record(seed), TruthGraph(d=3, edges=((0, 1),)), None
+
+    def gibbs_sample(self, params, config):
+        return self._record(config.seed)
+
+
+def _run_replicates(site, failing, monkeypatch):
+    if site == "recovery":
+        recovery_experiment(failing, n_reps=3, N=200, seed=21)
+    elif site == "plv":
+        plv_recovery_experiment(failing, n_reps=3, N=200, seed=21)
+    else:
+        monkeypatch.setattr(torusgraphs.inference, "gibbs_sample", failing.gibbs_sample)
+        X = np.random.default_rng(22).uniform(0, 2 * np.pi, size=(200, 3))
+        bootstrap_null_test(X, [(0, 1)], B=19, seed=21, folds=2, grid=[0.1])
+
+
+SITES = ("recovery", "plv", "bootstrap")
+
+
+class TestReplicateErrors:
+    @pytest.mark.parametrize("site", SITES)
+    def test_type_and_attributes_kept(self, site, monkeypatch):
+        with pytest.raises(ParseError) as info:
+            _run_replicates(site, _FailingGenerator(ParseError("bad cell", row=7)), monkeypatch)
+        assert info.value.row == 7
+        # other constructor signatures are re-raised as they are, not rebuilt
+        with pytest.raises(_TwoArgError) as info:
+            _run_replicates(site, _FailingGenerator(_TwoArgError(5, "detail")), monkeypatch)
+        assert info.value.code == 5
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_message_names_replicate_and_seed(self, site, monkeypatch):
+        failing = _FailingGenerator(DomainError("no data"), fail_at=1)
+        with pytest.raises(DomainError) as info:
+            _run_replicates(site, failing, monkeypatch)
+        assert f"replicate 1 (seed {failing.seeds[1]}): no data" in str(info.value)
