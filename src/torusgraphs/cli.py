@@ -111,7 +111,10 @@ def cmd_fit(args):
     if args.cv is not None:
         if not args.grid:
             raise DomainError("--cv requires --grid")
-        grid = [float(g) for g in args.grid.split(",")]
+        try:
+            grid = [float(g) for g in args.grid.split(",")]
+        except ValueError as exc:
+            raise DomainError(f"--grid: {exc}") from exc
         lam, table = select_lambda_cv(ds.angles, family=family, folds=args.cv,
                                       grid=grid, seed=args.seed)
         fit = fit_group_lasso(ds.angles, family=family, lam=lam)

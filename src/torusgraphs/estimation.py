@@ -40,6 +40,7 @@ from .model import (
 
 _CHUNK = 256
 _COND_LIMIT = 1e12
+_LASSO_MAX_ITER = 20000
 
 
 def jacobian_D(x):
@@ -193,9 +194,15 @@ def _active_indices(d, family, zero_edges=None):
 
 def _checked_cholesky(G, n, m_total):
     """Cholesky factor (for scipy.linalg.cho_solve) of a moment block, with a
-    1-norm condition estimate guard."""
+    1-norm condition estimate guard.
+
+    G is factored where it lies and is overwritten: callers pass a fresh copy
+    of an exactly symmetric block, whose transpose is the Fortran-ordered
+    array LAPACK works on.
+    """
+    anorm = scipy.linalg.lapack.dlange("1", G.T) if G.size else 0.0
     try:
-        cho = scipy.linalg.cho_factor(G, lower=True, check_finite=False)
+        cho = scipy.linalg.cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularMomentsError(
             f"moment matrix is singular: N={n} samples for {m_total} coefficients "
@@ -203,7 +210,6 @@ def _checked_cholesky(G, n, m_total):
         ) from exc
     if G.size == 0:
         return cho
-    anorm = np.abs(G).sum(axis=0).max()
     rcond, info = scipy.linalg.lapack.dpocon(cho[0], anorm, uplo="L")
     if info != 0 or rcond <= 0 or 1.0 / rcond > _COND_LIMIT:
         cond = np.inf if rcond <= 0 else 1.0 / rcond
@@ -229,10 +235,9 @@ def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     G = moments.gamma_hat[np.ix_(idx, idx)]
     b = moments.h_hat[idx]
     cho = _checked_cholesky(G, moments.n, param_dim(d))
-    sol = scipy.linalg.cho_solve(cho, b, check_finite=False)
     phi = np.zeros(param_dim(d))
-    phi[idx] = sol
-    residual = float(np.max(np.abs(G @ sol - b))) if idx.size else 0.0
+    phi[idx] = scipy.linalg.cho_solve(cho, b, check_finite=False)
+    residual = float(np.max(np.abs((moments.gamma_hat @ phi)[idx] - b))) if idx.size else 0.0
     params = TorusGraphParams(d=d, phi=phi, family=family)
     return FitResult(params=params, moments=moments, method="closed_form", residual_norm=residual)
 
@@ -270,62 +275,61 @@ def _group_soft_threshold(phi, blocks, shrink):
     return phi
 
 
-def fit_group_lasso(
-    data,
-    family=Family.FULL,
-    lam=0.0,
-    max_iter=20000,
-    tol=1e-9,
-    zero_edges=None,
-    moments=None,
-):
-    """Group-penalized score matching: adds lam * sum over edges of the
-    coupling-block 2-norm (marginal blocks unpenalized).
+def _check_penalty(lam):
+    lam = float(lam)
+    if not (np.isfinite(lam) and lam >= 0):
+        raise DomainError(f"penalty weight must be finite and >= 0, got {lam!r}")
+    return lam
 
-    Accelerated proximal gradient (group soft-thresholding, backtracking
-    line search, momentum restarted on objective increase); converged when
-    the relative objective change drops below ``tol`` and no coordinate
-    moves more than 1e-8.
-    """
-    if lam < 0:
-        raise DomainError("penalty weight must be >= 0")
-    if moments is None:
-        moments = accumulate_moments(data)
+
+def _lasso_system(moments, family, zero_edges):
+    """The penalized problem on the family's active coordinates: their
+    indices, the Gamma block and H restricted to them, the penalty blocks and
+    the initial step 1 / lambda_max(Gamma block). The step depends on the
+    moments only, so one eigvalsh serves every penalty weight."""
     d = moments.d
-    family = Family(family)
     idx = _active_indices(d, family, zero_edges)
     G = moments.gamma_hat[np.ix_(idx, idx)]
     b = moments.h_hat[idx]
-    blocks = _penalized_blocks(d, idx)
+    lipschitz = float(np.linalg.eigvalsh(G)[-1]) if idx.size else 1.0
+    return idx, G, b, _penalized_blocks(d, idx), 1.0 / max(lipschitz, 1e-12)
 
-    def smooth(v):
-        return float(0.5 * v @ G @ v - v @ b)
 
-    def objective(v):
-        return smooth(v) + lam * float(_block_norms(v, blocks).sum())
+def _fista(G, b, blocks, lam, step, tol, max_iter):
+    """Minimise (1/2) v'Gv - v'b + lam * sum of block 2-norms from v = 0.
 
-    # accelerated proximal gradient with function-value restart; the momentum
-    # sequence is reset whenever the objective rises, which keeps the method
-    # monotone on these often very ill-conditioned quadratics
-    phi = np.zeros(idx.size)
+    Accelerated proximal gradient with function-value restart: the momentum
+    sequence is reset whenever the objective rises, which keeps the method
+    monotone on these often very ill-conditioned quadratics. Each step makes
+    two products with G: G y gives the gradient and the smooth part at y, and
+    G cand, one per backtracking trial, gives the smooth part at the
+    candidate, which the objective reuses. Both are fresh products of the
+    same kind because the backtracking test compares the two smooth parts
+    with a 1e-15 slack, which the rounding of a G y carried by recurrence
+    exceeds. Returns (v, iterations).
+    """
+
+    def smooth(v, Gv):
+        return float(0.5 * (Gv @ v) - v @ b)
+
+    phi = np.zeros(b.size)
     y = phi.copy()
     t = 1.0
-    lipschitz = float(np.linalg.eigvalsh(G)[-1]) if idx.size else 1.0
-    step = 1.0 / max(lipschitz, 1e-12)
-    obj = objective(phi)
-    n_iter = 0
+    obj = 0.0  # the objective at v = 0
     for n_iter in range(1, max_iter + 1):
-        grad = G @ y - b
-        smooth_y = smooth(y)
+        Gy = G @ y
+        grad = Gy - b
+        smooth_y = smooth(y, Gy)
         while True:
             cand = _group_soft_threshold(y - step * grad, blocks, lam * step)
+            smooth_cand = smooth(cand, G @ cand)
             delta = cand - y
-            if smooth(cand) <= smooth_y + grad @ delta + (delta @ delta) / (2 * step) + 1e-15:
+            if smooth_cand <= smooth_y + grad @ delta + (delta @ delta) / (2 * step) + 1e-15:
                 break
             step *= 0.5
             if step < 1e-18:
                 raise ConvergenceError("backtracking line search underflow")
-        new_obj = objective(cand)
+        new_obj = smooth_cand + lam * float(_block_norms(cand, blocks).sum())
         if new_obj > obj and t > 1.0:
             # momentum overshoot: restart from the last accepted point (a
             # pure gradient step cannot increase the objective, so this
@@ -341,12 +345,37 @@ def fit_group_lasso(
         phi = cand
         obj = new_obj
         if converged:
-            break
-    else:
-        raise ConvergenceError(
-            f"group-lasso solver did not converge in {max_iter} iterations "
-            f"(last residual {float(np.max(np.abs(G @ phi - b))):.3g})"
-        )
+            return phi, n_iter
+    raise ConvergenceError(
+        f"group-lasso solver did not converge in {max_iter} iterations "
+        f"(last residual {float(np.max(np.abs(G @ phi - b))):.3g})"
+    )
+
+
+def fit_group_lasso(
+    data,
+    family=Family.FULL,
+    lam=0.0,
+    max_iter=_LASSO_MAX_ITER,
+    tol=1e-9,
+    zero_edges=None,
+    moments=None,
+):
+    """Group-penalized score matching: adds lam * sum over edges of the
+    coupling-block 2-norm (marginal blocks unpenalized).
+
+    Accelerated proximal gradient (group soft-thresholding, backtracking
+    line search, momentum restarted on objective increase); converged when
+    the relative objective change drops below ``tol`` and no coordinate
+    moves more than 1e-8. ``lam`` must be finite and >= 0 (DomainError).
+    """
+    lam = _check_penalty(lam)
+    if moments is None:
+        moments = accumulate_moments(data)
+    d = moments.d
+    family = Family(family)
+    idx, G, b, blocks, step = _lasso_system(moments, family, zero_edges)
+    phi, n_iter = _fista(G, b, blocks, lam, step, tol, max_iter)
     full = np.zeros(param_dim(d))
     full[idx] = phi
     params = TorusGraphParams(d=d, phi=full, family=family)
@@ -356,7 +385,7 @@ def fit_group_lasso(
         moments=moments,
         method="group_lasso",
         residual_norm=residual,
-        lam=float(lam),
+        lam=lam,
         n_iter=n_iter,
     )
 
@@ -367,7 +396,10 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     The validation loss is the held-out score-matching objective: each fold's
     moments are accumulated once, the model is trained on the remaining
     folds' pooled moments, and the trained coefficients are scored with the
-    held-out moments. Returns (best lambda, table of (lambda, mean loss)).
+    held-out moments. Each training fold's penalized system and step size
+    are built once and shared by every weight in ``grid``, whose entries must
+    all be finite and >= 0. Returns (best lambda, table of (lambda, mean
+    loss)).
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n = X.shape[0]
@@ -377,23 +409,25 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
         raise DomainError("need a nonempty lambda grid")
     if n < 2 * folds:
         raise DomainError(f"fold size too small: {n} samples across {folds} folds")
+    lams = [_check_penalty(lam) for lam in grid]
+    family = Family(family)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     fold_ids = np.array_split(order, folds)
     fold_moments = [accumulate_moments(X[ids]) for ids in fold_ids]
-    losses = np.zeros((len(grid), folds))
+    losses = np.zeros((len(lams), folds))
+    phi = np.zeros(param_dim(X.shape[1]))
     for f in range(folds):
         held = fold_moments[f]
         n_train = n - held.n
         g_train = sum(fm.gamma_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
         h_train = sum(fm.h_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
         train = ScoreMatchingMoments(gamma_hat=g_train, h_hat=h_train, n=n_train)
-        for gi, lam in enumerate(grid):
-            fit = fit_group_lasso(
-                None, family=family, lam=lam, zero_edges=zero_edges, moments=train, tol=tol
-            )
-            losses[gi, f] = sm_objective(fit.params.phi, held)
+        idx, G, b, blocks, step = _lasso_system(train, family, zero_edges)
+        for gi, lam in enumerate(lams):
+            phi[idx] = _fista(G, b, blocks, lam, step, tol, _LASSO_MAX_ITER)[0]
+            losses[gi, f] = sm_objective(phi, held)
     mean_loss = losses.mean(axis=1)
     best = int(np.argmin(mean_loss))
-    table = [(float(lam), float(loss)) for lam, loss in zip(grid, mean_loss)]
-    return float(grid[best]), table
+    table = [(lam, float(loss)) for lam, loss in zip(lams, mean_loss)]
+    return lams[best], table

@@ -224,6 +224,20 @@ class TestExitCodes:
         assert main(["fit", str(tmp_path / "missing.csv"), "--out",
                      str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("penalty", [
+        ["--cv", "3", "--grid", "0.1,abc"],
+        ["--cv", "3", "--grid", "0.1,"],
+        ["--cv", "3", "--grid", "0.1,nan"],
+        ["--cv", "3", "--grid", "inf"],
+        ["--cv", "3", "--grid", "0.1,-0.2"],
+        ["--lasso", "nan"],
+    ], ids=["grid-abc", "grid-empty-entry", "grid-nan", "grid-inf", "grid-negative", "lasso-nan"])
+    def test_domain_error_bad_penalty(self, tmp_path, capsys, penalty):
+        data = tmp_path / "d.csv"
+        save_samples_csv(data, np.random.default_rng(3).uniform(0, 2 * np.pi, size=(60, 3)))
+        assert main(["fit", str(data), *penalty, "--out", str(tmp_path / "m.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_numerical_error_undersampled(self, tmp_path):
         data = tmp_path / "tiny.csv"
         rng = np.random.default_rng(1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from torusgraphs import estimation
 from torusgraphs.estimation import (
     FitResult,
     ScoreMatchingMoments,
@@ -29,6 +30,19 @@ from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
 from conftest import finite_difference_jacobian
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so each call adds one to the returned one-item list."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestJacobian:
@@ -297,6 +311,17 @@ class TestGroupLasso:
         with pytest.raises(DomainError):
             fit_group_lasso(np.zeros((10, 2)), lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_penalty_rejected(self, lam):
+        with pytest.raises(DomainError):
+            fit_group_lasso(np.zeros((10, 2)), lam=lam)
+
+    def test_one_eigvalsh_per_fit(self, monkeypatch):
+        X = np.random.default_rng(55).uniform(0, 2 * np.pi, size=(200, 3))
+        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        fit_group_lasso(X, lam=0.1)
+        assert calls == [1]
+
 
 class TestSelectLambdaCV:
     def test_single_candidate(self):
@@ -335,6 +360,20 @@ class TestSelectLambdaCV:
             if top4 == truth:
                 hits += 1
         assert hits >= int(np.ceil(0.90 * 50))
+
+    @pytest.mark.parametrize("folds", [2, 5])
+    def test_one_eigvalsh_per_fold(self, monkeypatch, folds):
+        X = np.random.default_rng(56).uniform(0, 2 * np.pi, size=(200, 3))
+        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        select_lambda_cv(X, folds=folds, grid=np.geomspace(1e-3, 1.0, 7), seed=0)
+        assert calls == [folds]
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_bad_grid_rejected_before_any_fold(self, monkeypatch, bad):
+        calls = _count_calls(monkeypatch, estimation, "accumulate_moments")
+        with pytest.raises(DomainError):
+            select_lambda_cv(np.zeros((50, 2)), folds=2, grid=[0.1, 1.0, bad])
+        assert calls == [0]
 
     def test_bad_folds(self):
         with pytest.raises(DomainError):
