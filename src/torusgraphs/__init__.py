@@ -82,6 +82,7 @@ from .simulation import (
     GeneratorSpec,
     RecoverySummary,
     TruthGraph,
+    draw_replicates,
     gen_chain,
     gen_indirect_triple,
     gen_random_torus_graph,

@@ -34,7 +34,7 @@ from .inference import (
 from .margins import bivar_phase_diff_density, population_plv_from_grid, trivar_phase_diff_density
 from .model import Family, edge_list
 from .sampling import GibbsConfig, gibbs_sample
-from .simulation import plv_recovery_experiment, recovery_experiment
+from .simulation import draw_replicates, plv_recovery_experiment, recovery_experiment
 
 _FAMILIES = {
     "full": Family.FULL,
@@ -258,27 +258,17 @@ def cmd_gof(args):
 
 def cmd_bench(args):
     spec, settings = tgio.load_experiment_config(args.config)
+    # one draw per replicate; every method scores the same data sets
+    replicates = draw_replicates(spec, settings["n_reps"], settings["N"], settings["seed"])
     results = {}
     if "torus" in settings["methods"]:
         results["torus"] = recovery_experiment(
-            spec,
-            n_reps=settings["n_reps"],
-            N=settings["N"],
-            alpha=settings["alpha"],
-            correction=settings["correction"],
-            seed=settings["seed"],
-            family=_FAMILIES[settings["family"]],
-            mode=_MODES[settings["mode"]],
+            replicates, settings["alpha"], settings["correction"],
+            family=_FAMILIES[settings["family"]], mode=_MODES[settings["mode"]],
         )
     if "plv" in settings["methods"]:
-        results["plv"] = plv_recovery_experiment(
-            spec,
-            n_reps=settings["n_reps"],
-            N=settings["N"],
-            alpha=settings["alpha"],
-            correction=settings["correction"],
-            seed=settings["seed"],
-        )
+        results["plv"] = plv_recovery_experiment(replicates, settings["alpha"],
+                                                 settings["correction"])
     summary_path = tgio.save_experiment_results(args.out, results)
     for method, res in results.items():
         extra = f", param MSE={res.param_mse:.4g}" if res.param_mse is not None else ""

@@ -154,8 +154,9 @@ def accumulate_moments(data):
             h_parts.append(_h_rows(S, d).sum(axis=0))
             yield g
 
-    gamma = _pairwise_reduce(grams()) / n
-    gamma = 0.5 * (gamma + gamma.T)
+    # each chunk Gram scatters symmetric A'A blocks, so gamma is exactly symmetric
+    gamma = _pairwise_reduce(grams())
+    gamma /= n
     h = _pairwise_reduce(h_parts) / n
     return ScoreMatchingMoments(gamma_hat=gamma, h_hat=h, n=n)
 

@@ -135,7 +135,9 @@ def save_samples_csv(path, angles, channel_names=None):
 def _require(doc, key, kind=None):
     if key not in doc:
         raise SchemaError(f"missing field {key!r}")
-    if kind is not None and not isinstance(doc[key], kind):
+    # JSON true/false parse as bool, a subclass of int: only a bool field takes them
+    if kind is not None and (not isinstance(doc[key], kind)
+                             or (isinstance(doc[key], bool) and kind is not bool)):
         raise SchemaError(f"field {key!r} has the wrong type")
     return doc[key]
 

@@ -3,13 +3,14 @@
 The generators build rotationally coupled angle data trial by trial (each
 node's angles derived from a graph neighbor plus a fixed offset and von Mises
 noise, with a few trials contaminated by much noisier draws), or draw from a
-random sparse coupling model via Gibbs sampling. The harness fits models to
-replicated data sets, scores every candidate edge, and reports ROC/AUC plus
-false positive/negative rates at a chosen decision rule.
+random sparse coupling model via Gibbs sampling. The harness draws the
+replicated data sets once, scores every candidate edge in each with a method
+(model fit or pairwise baseline), and reports ROC/AUC plus false
+positive/negative rates at a chosen decision rule.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -177,15 +178,10 @@ class GeneratorSpec:
     def generate(self, N, seed):
         """Produce (angles, truth, true_params-or-None) for one replicate."""
         opts = dict(self.options)
-        if self.kind == "chain":
-            X, truth = gen_chain(N=N, seed=seed, **opts)
-            return X, truth, None
-        if self.kind == "indirect-triple":
-            X, truth = gen_indirect_triple(N=N, seed=seed, **opts)
-            return X, truth, None
-        if self.kind == "uniform-null":
-            X, truth = gen_uniform_null(N=N, seed=seed, **opts)
-            return X, truth, None
+        direct = {"chain": gen_chain, "indirect-triple": gen_indirect_triple,
+                  "uniform-null": gen_uniform_null}.get(self.kind)
+        if direct is not None:
+            return (*direct(N=N, seed=seed, **opts), None)
         gibbs = opts.pop("gibbs", {})
         params, truth = gen_random_torus_graph(seed=seed, **opts)
         cfg = GibbsConfig(
@@ -197,9 +193,18 @@ class GeneratorSpec:
         return gibbs_sample(params, cfg), truth, params
 
 
-def _roc_points(scores, truth, pairs):
-    """Threshold sweep of edge scores against the truth graph."""
-    labels = np.array([truth.has_edge(j, k) for j, k in pairs])
+class Replicate(NamedTuple):
+    """One simulated data set: its seed, (N, d) angles, truth graph and, for
+    data drawn from a model, the true parameters."""
+
+    seed: int
+    angles: np.ndarray
+    truth: TruthGraph
+    params: Optional[TorusGraphParams]
+
+
+def _roc_points(scores, labels):
+    """Threshold sweep of edge scores against the true edge labels."""
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     order = np.argsort(-np.asarray(scores))
@@ -223,9 +228,8 @@ def _interp_roc(fpr, tpr, grid):
     return ys[np.clip(pos, 0, xs.size - 1)]
 
 
-def _decision_rates(pvals, truth, pairs, alpha, correction):
+def _decision_rates(pvals, labels, alpha, correction):
     reject = correct_pvalues(pvals, correction) <= alpha
-    labels = np.array([truth.has_edge(j, k) for j, k in pairs])
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     fpr = float(np.sum(reject & ~labels) / n_neg) if n_neg else np.nan
@@ -233,81 +237,81 @@ def _decision_rates(pvals, truth, pairs, alpha, correction):
     return fpr, fnr
 
 
-def _summarize(per_rep, seeds, n_reps):
+def draw_replicates(gen, n_reps, N, seed=0):
+    """Draw ``n_reps`` data sets of ``N`` trials from ``gen``, one per seed
+    spawned from ``seed``; every method scores this same list."""
+    if n_reps < 1 or N < 1:
+        raise DomainError(f"need at least one replicate and one trial, got n_reps={n_reps}, N={N}")
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_reps)]
+    replicates = []
+    for rep, rep_seed in enumerate(seeds):
+        try:
+            replicates.append(Replicate(rep_seed, *gen.generate(N, rep_seed)))
+        except Exception as exc:
+            add_context(exc, f"replicate {rep} (seed {rep_seed})")
+            raise
+    return replicates
+
+
+def _experiment(replicates, score, alpha, correction):
+    """Score every replicate with ``score(angles, pairs) -> (scores, pvals,
+    fitted phi or None)``; average the ROC curves over replicates and apply
+    the (alpha, correction) rule for the per-replicate FPR/FNR."""
     grid = np.linspace(0.0, 1.0, FPR_GRID_SIZE)
-    tprs = np.array([_interp_roc(f, t, grid) for f, t, _, _, _ in per_rep])
-    mean_tpr = tprs.mean(axis=0)
-    auc = float(np.trapezoid(mean_tpr, grid))
-    fprs = np.array([r[2] for r in per_rep], dtype=float)
-    fnrs = np.array([r[3] for r in per_rep], dtype=float)
-    mses = [r[4] for r in per_rep if r[4] is not None]
-    roc = np.column_stack([grid, mean_tpr])
+    tprs, fprs, fnrs, mses = [], [], [], []
+    for rep, r in enumerate(replicates):
+        pairs = edge_list(r.truth.d)
+        try:
+            scores, pvals, phi = score(r.angles, pairs)
+        except Exception as exc:
+            add_context(exc, f"replicate {rep} (seed {r.seed})")
+            raise
+        labels = np.array([r.truth.has_edge(j, k) for j, k in pairs])
+        tprs.append(_interp_roc(*_roc_points(scores, labels), grid))
+        fpr, fnr = _decision_rates(pvals, labels, alpha, correction)
+        fprs.append(fpr)
+        fnrs.append(fnr)
+        if phi is not None and r.params is not None:
+            mses.append(float(np.mean((phi - r.params.phi) ** 2)))
+    mean_tpr = np.array(tprs).mean(axis=0)
+    fprs, fnrs = np.array(fprs, dtype=float), np.array(fnrs, dtype=float)
     with np.errstate(invalid="ignore"):
         fpr_mean = float(np.nanmean(fprs)) if np.any(np.isfinite(fprs)) else float("nan")
         fnr_mean = float(np.nanmean(fnrs)) if np.any(np.isfinite(fnrs)) else float("nan")
     return RecoverySummary(
-        auc=auc,
-        roc=roc,
+        auc=float(np.trapezoid(mean_tpr, grid)),
+        roc=np.column_stack([grid, mean_tpr]),
         fpr_at_alpha=fpr_mean,
         fnr_at_alpha=fnr_mean,
-        n_reps=n_reps,
-        seeds=tuple(seeds),
+        n_reps=len(replicates),
+        seeds=tuple(r.seed for r in replicates),
         param_mse=float(np.mean(mses)) if mses else None,
         fpr_reps=tuple(float(v) for v in fprs),
         fnr_reps=tuple(float(v) for v in fnrs),
     )
 
 
-def recovery_experiment(gen, n_reps, N, alpha=0.001, correction="bonferroni", seed=0,
+def recovery_experiment(replicates, alpha=0.001, correction="bonferroni",
                         family=Family.FULL, mode="full"):
-    """Model-based structure recovery: fit, score edges by the block test
-    statistic, sweep thresholds for the ROC, and apply the (alpha,
-    correction) rule for FPR/FNR. Replicate seeds are spawned from ``seed``.
-    """
-    if n_reps < 1:
-        raise DomainError("need at least one replicate")
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_reps)]
-    per_rep = []
-    for rep, rep_seed in enumerate(seeds):
-        try:
-            X, truth, true_params = gen.generate(N, rep_seed)
-            fit = fit_closed_form(X, family=family)
-            cov = asymptotic_cov(X, fit.params, moments=fit.moments)
-            pairs = edge_list(truth.d)
-            tests = [edge_test(fit, cov, j, k, mode=mode) for j, k in pairs]
-        except Exception as exc:
-            add_context(exc, f"replicate {rep} (seed {rep_seed})")
-            raise
-        scores = [t.x2 for t in tests]
-        pvals = [t.p for t in tests]
-        fpr_pts, tpr_pts = _roc_points(scores, truth, pairs)
-        fpr, fnr = _decision_rates(pvals, truth, pairs, alpha, correction)
-        mse = None
-        if true_params is not None:
-            diff = fit.params.phi - true_params.phi
-            mse = float(np.mean(diff**2))
-        per_rep.append((fpr_pts, tpr_pts, fpr, fnr, mse))
-    return _summarize(per_rep, seeds, n_reps)
+    """Model-based structure recovery: fit each replicate, score edges by
+    the block test statistic, and report coefficient MSE where the truth is
+    a model."""
+
+    def score(X, pairs):
+        fit = fit_closed_form(X, family=family)
+        cov = asymptotic_cov(X, fit.params, moments=fit.moments)
+        tests = [edge_test(fit, cov, j, k, mode=mode) for j, k in pairs]
+        return [t.x2 for t in tests], [t.p for t in tests], fit.params.phi
+
+    return _experiment(replicates, score, alpha, correction)
 
 
-def plv_recovery_experiment(gen, n_reps, N, alpha=0.001, correction="bonferroni", seed=0):
+def plv_recovery_experiment(replicates, alpha=0.001, correction="bonferroni"):
     """Pairwise baseline: score each pair by the Rayleigh statistic of the
     wrapped phase differences and decide edges by the Rayleigh test."""
-    if n_reps < 1:
-        raise DomainError("need at least one replicate")
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_reps)]
-    per_rep = []
-    for rep, rep_seed in enumerate(seeds):
-        try:
-            X, truth, _ = gen.generate(N, rep_seed)
-            pairs = edge_list(truth.d)
-            diffs = [wrap_angle(X[:, j] - X[:, k]) for j, k in pairs]
-            scores = [rayleigh_statistic(w) for w in diffs]
-            pvals = [rayleigh_test(w) for w in diffs]
-        except Exception as exc:
-            add_context(exc, f"replicate {rep} (seed {rep_seed})")
-            raise
-        fpr_pts, tpr_pts = _roc_points(scores, truth, pairs)
-        fpr, fnr = _decision_rates(pvals, truth, pairs, alpha, correction)
-        per_rep.append((fpr_pts, tpr_pts, fpr, fnr, None))
-    return _summarize(per_rep, seeds, n_reps)
+
+    def score(X, pairs):
+        diffs = [wrap_angle(X[:, j] - X[:, k]) for j, k in pairs]
+        return [rayleigh_statistic(w) for w in diffs], [rayleigh_test(w) for w in diffs], None
+
+    return _experiment(replicates, score, alpha, correction)

@@ -30,7 +30,12 @@ from torusgraphs.model import (
     to_natural,
 )
 from torusgraphs.sampling import GibbsConfig, conditional_von_mises, gibbs_sample
-from torusgraphs.simulation import GeneratorSpec, plv_recovery_experiment, recovery_experiment
+from torusgraphs.simulation import (
+    GeneratorSpec,
+    draw_replicates,
+    plv_recovery_experiment,
+    recovery_experiment,
+)
 
 from conftest import finite_difference_jacobian
 from test_margins import bivar_marginal_oracle, trivar_marginal_oracle
@@ -167,8 +172,8 @@ class TestAcceptance:
         for dens in (0.25, 0.5):
             spec = GeneratorSpec(kind="random",
                                  options={"d": 24, "edge_density": dens, "coupling_scale": 1.0})
-            summary = recovery_experiment(spec, n_reps=30, N=840, alpha=0.001,
-                                          correction="bonferroni", seed=1006)
+            summary = recovery_experiment(draw_replicates(spec, n_reps=30, N=840, seed=1006),
+                                          alpha=0.001, correction="bonferroni")
             aucs[dens] = summary.auc
         ok = aucs[0.25] >= 0.9 and aucs[0.5] < aucs[0.25]
         _report(6, ok, f"mean AUC at 25% density {aucs[0.25]:.4f} (>= 0.9 required); "
@@ -187,15 +192,16 @@ class TestAcceptance:
         chain_spec = GeneratorSpec(kind="chain", options=chain_opts)
         lines = []
         ok = True
-        for name, spec in (("null", null_spec), ("chain", chain_spec)):
+        replicates = {name: draw_replicates(spec, n_reps=n_reps, N=840, seed=1007)
+                      for name, spec in (("null", null_spec), ("chain", chain_spec))}
+        for name in ("null", "chain"):
             for corr in ("none", "bonferroni"):
-                s = recovery_experiment(spec, n_reps=n_reps, N=840, alpha=alpha,
-                                        correction=corr, seed=1007)
+                s = recovery_experiment(replicates[name], alpha=alpha, correction=corr)
                 bound = alpha + 2 * s.fpr_mcse()
                 ok = ok and s.fpr_at_alpha <= bound
                 lines.append(f"{name}/{corr} FPR {s.fpr_at_alpha:.4f} <= {bound:.4f}")
-        plv_chain = plv_recovery_experiment(chain_spec, n_reps=n_reps, N=840,
-                                            alpha=alpha, correction="bonferroni", seed=1007)
+        plv_chain = plv_recovery_experiment(replicates["chain"], alpha=alpha,
+                                            correction="bonferroni")
         ok = ok and plv_chain.fpr_at_alpha > 0.5
         lines.append(f"plv chain FPR {plv_chain.fpr_at_alpha:.4f} > 0.5")
         _report(7, ok, "; ".join(lines))

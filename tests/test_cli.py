@@ -167,6 +167,50 @@ class TestBench:
         assert len(roc) == 513
 
 
+    def test_each_replicate_drawn_once_for_both_methods(self, tmp_path, monkeypatch):
+        # the benchmark harness reads the torus summary's per-replicate FPRs
+        # through cli.recovery_experiment, so bench must call it exactly once
+        import torusgraphs.cli
+        from torusgraphs.simulation import GeneratorSpec, RecoverySummary
+
+        calls = {"recovery": [], "generate": 0}
+        recovery, generate = torusgraphs.cli.recovery_experiment, GeneratorSpec.generate
+
+        def counting_recovery(*args, **kwargs):
+            calls["recovery"].append(recovery(*args, **kwargs))
+            return calls["recovery"][-1]
+
+        def counting_generate(self, N, seed):
+            calls["generate"] += 1
+            return generate(self, N, seed)
+
+        monkeypatch.setattr(torusgraphs.cli, "recovery_experiment", counting_recovery)
+        monkeypatch.setattr(GeneratorSpec, "generate", counting_generate)
+        cfg = _bench_config(tmp_path, "chain", n_reps=3, methods=["torus", "plv"])
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert len(calls["recovery"]) == 1
+        assert isinstance(calls["recovery"][0], RecoverySummary)
+        assert len(calls["recovery"][0].fpr_reps) == 3
+        assert calls["generate"] == 3
+
+
+def _bench_config(tmp_path, kind, **settings):
+    """Write a small `bench` config for generator ``kind``; ``settings``
+    override the top-level fields."""
+    generator = {
+        "chain": {"d": 4, "xi": 0.0314, "kappa1": 0.01, "kappa_eps": 40.0, "contam": [5, 0.1]},
+        "indirect-triple": {},
+        "uniform-null": {"d": 3},
+        "random": {"d": 3, "edge_density": 0.5},
+    }[kind]
+    doc = {"schema_version": 1, "generator": {"kind": kind, **generator}, "n_reps": 2,
+           "N": 300, "alpha": 0.001, "correction": "bonferroni", "seed": 11, "methods": ["torus"]}
+    doc.update(settings)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
 class TestSummarizeDiffs:
     def test_pooled_offset(self, tmp_path, chain_csv, capsys):
         data, _ = chain_csv
@@ -279,6 +323,20 @@ class TestExitCodes:
         }))
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
         assert "replicate 0 (seed " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["chain", "indirect-triple", "uniform-null", "random"])
+    @pytest.mark.parametrize("field", ["N", "n_reps"])
+    def test_schema_error_boolean_count(self, tmp_path, capsys, kind, field):
+        # JSON true is a bool, not a count of trials or replicates
+        cfg = _bench_config(tmp_path, kind, **{field: True})
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert f"field {field!r} has the wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,N", [("uniform-null", -5), ("chain", 0), ("chain", -5)])
+    def test_domain_error_bad_trial_count(self, tmp_path, capsys, kind, N):
+        cfg = _bench_config(tmp_path, kind, N=N)
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"at least one replicate and one trial, got n_reps=2, N={N}" in capsys.readouterr().err
 
     def test_numerical_error_ill_conditioned_sandwich(self, tmp_path):
         # duplicated channel: the sandwich solve hits the condition guard

@@ -129,6 +129,14 @@ class TestAccumulateMoments:
         np.testing.assert_allclose(m.gamma_hat, m.gamma_hat.T, atol=1e-12)
         assert np.linalg.eigvalsh(m.gamma_hat).min() > -1e-10
 
+    @pytest.mark.parametrize("d,N", [(1, 5), (2, 255), (3, 257), (5, 840), (8, 3000)])
+    def test_exactly_symmetric(self, d, N):
+        # every chunk Gram scatters symmetric A'A blocks and gamma is not
+        # symmetrised afterwards, so a BLAS that breaks exact symmetry shows here
+        rng = np.random.default_rng(39)
+        m = accumulate_moments(rng.uniform(0, 2 * np.pi, size=(N, d)))
+        assert np.array_equal(m.gamma_hat, m.gamma_hat.T)
+
     def test_desk_scale_invertible(self):
         # N = 840 samples comfortably above the 2d = 48 invertibility floor
         rng = np.random.default_rng(38)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import torusgraphs.inference
+import torusgraphs.simulation
 from torusgraphs.circular import plv, rayleigh_test
 from torusgraphs.exceptions import DomainError, ParseError
 from torusgraphs.inference import bootstrap_null_test
@@ -14,6 +15,7 @@ from torusgraphs.simulation import (
     gen_chain,
     gen_indirect_triple,
     gen_random_torus_graph,
+    draw_replicates,
     gen_uniform_null,
     plv_recovery_experiment,
     recovery_experiment,
@@ -157,8 +159,8 @@ class TestRecoveryExperiment:
             kind="chain",
             options={"d": 4, "xi": 0.1, "kappa1": 0.05, "kappa_eps": 30.0, "contam": (0, 1.0)},
         )
-        summary = recovery_experiment(spec, n_reps=3, N=2000, alpha=0.001,
-                                      correction="bonferroni", seed=7)
+        summary = recovery_experiment(draw_replicates(spec, n_reps=3, N=2000, seed=7),
+                                      alpha=0.001, correction="bonferroni")
         assert summary.auc == pytest.approx(1.0, abs=1e-12)
 
     def test_uninformative_scores_auc_half(self):
@@ -166,12 +168,12 @@ class TestRecoveryExperiment:
         # no signal and the ROC is the diagonal
         spec = GeneratorSpec(kind="random", options={"d": 4, "edge_density": 0.5,
                                                      "coupling_scale": 0.0})
-        summary = recovery_experiment(spec, n_reps=30, N=200, seed=8)
+        summary = recovery_experiment(draw_replicates(spec, n_reps=30, N=200, seed=8))
         assert abs(summary.auc - 0.5) < 0.05
 
     def test_roc_endpoints_and_monotonicity(self):
         spec = GeneratorSpec(kind="random", options={"d": 4, "edge_density": 0.5})
-        summary = recovery_experiment(spec, n_reps=2, N=300, seed=9)
+        summary = recovery_experiment(draw_replicates(spec, n_reps=2, N=300, seed=9))
         fpr, tpr = summary.roc[:, 0], summary.roc[:, 1]
         assert fpr[0] == 0.0 and fpr[-1] == 1.0
         assert tpr[-1] == 1.0
@@ -180,15 +182,15 @@ class TestRecoveryExperiment:
 
     def test_reproducible_given_seed(self):
         spec = GeneratorSpec(kind="indirect-triple")
-        a = recovery_experiment(spec, n_reps=3, N=300, seed=10)
-        b = recovery_experiment(spec, n_reps=3, N=300, seed=10)
+        a = recovery_experiment(draw_replicates(spec, n_reps=3, N=300, seed=10))
+        b = recovery_experiment(draw_replicates(spec, n_reps=3, N=300, seed=10))
         assert a.auc == b.auc
         np.testing.assert_array_equal(a.roc, b.roc)
         assert a.seeds == b.seeds
 
     def test_param_mse_reported_for_model_truth(self):
         spec = GeneratorSpec(kind="random", options={"d": 3, "edge_density": 1.0})
-        summary = recovery_experiment(spec, n_reps=2, N=400, seed=11)
+        summary = recovery_experiment(draw_replicates(spec, n_reps=2, N=400, seed=11))
         assert summary.param_mse is not None and summary.param_mse >= 0
 
 
@@ -201,8 +203,8 @@ class TestPlvRecoveryExperiment:
         )
         hits = 0
         for seed in range(10):
-            summary = plv_recovery_experiment(spec, n_reps=1, N=840, alpha=0.001,
-                                              correction="bonferroni", seed=seed)
+            summary = plv_recovery_experiment(draw_replicates(spec, n_reps=1, N=840, seed=seed),
+                                              alpha=0.001, correction="bonferroni")
             # 6 non-edges out of 10 pairs: FPR 1.0 means every spurious pair flagged
             if summary.fpr_at_alpha == 1.0 and summary.fnr_at_alpha == 0.0:
                 hits += 1
@@ -210,8 +212,8 @@ class TestPlvRecoveryExperiment:
 
     def test_null_data_fpr_controlled(self):
         spec = GeneratorSpec(kind="uniform-null", options={"d": 5})
-        summary = plv_recovery_experiment(spec, n_reps=40, N=300, alpha=0.05,
-                                          correction="bonferroni", seed=12)
+        summary = plv_recovery_experiment(draw_replicates(spec, n_reps=40, N=300, seed=12),
+                                          alpha=0.05, correction="bonferroni")
         # Bonferroni keeps the per-pair FPR well under the nominal level
         mcse = np.sqrt(0.05 * 0.95 / (40 * 10))
         assert summary.fpr_at_alpha <= 0.05 + 2 * mcse
@@ -220,15 +222,15 @@ class TestPlvRecoveryExperiment:
         # the decision rule is build_graph's, unknown names included
         spec = GeneratorSpec(kind="uniform-null", options={"d": 3})
         with pytest.raises(DomainError, match="unknown correction"):
-            plv_recovery_experiment(spec, n_reps=1, N=100, correction="holm")
+            plv_recovery_experiment(draw_replicates(spec, n_reps=1, N=100), correction="holm")
 
 
 class TestFprControlInvariant:
     def test_torus_null_fpr_both_corrections(self):
         spec = GeneratorSpec(kind="uniform-null", options={"d": 5})
         for corr in ("none", "bonferroni"):
-            s = recovery_experiment(spec, n_reps=40, N=500, alpha=0.05,
-                                    correction=corr, seed=13)
+            s = recovery_experiment(draw_replicates(spec, n_reps=40, N=500, seed=13),
+                                    alpha=0.05, correction=corr)
             assert s.fpr_at_alpha <= 0.05 + 2 * s.fpr_mcse()
 
 
@@ -264,9 +266,9 @@ class _FailingGenerator:
 
 def _run_replicates(site, failing, monkeypatch):
     if site == "recovery":
-        recovery_experiment(failing, n_reps=3, N=200, seed=21)
+        recovery_experiment(draw_replicates(failing, n_reps=3, N=200, seed=21))
     elif site == "plv":
-        plv_recovery_experiment(failing, n_reps=3, N=200, seed=21)
+        plv_recovery_experiment(draw_replicates(failing, n_reps=3, N=200, seed=21))
     else:
         monkeypatch.setattr(torusgraphs.inference, "gibbs_sample", failing.gibbs_sample)
         X = np.random.default_rng(22).uniform(0, 2 * np.pi, size=(200, 3))
@@ -293,3 +295,41 @@ class TestReplicateErrors:
         with pytest.raises(DomainError) as info:
             _run_replicates(site, failing, monkeypatch)
         assert f"replicate 1 (seed {failing.seeds[1]}): no data" in str(info.value)
+
+    @pytest.mark.parametrize("method", ["recovery", "plv"])
+    def test_failing_scorer_names_replicate_and_seed(self, method, monkeypatch):
+        # the draws succeed; the second replicate's scoring raises (one fit,
+        # or three Rayleigh statistics, per d=3 replicate)
+        name, per_rep = {"recovery": ("fit_closed_form", 1), "plv": ("rayleigh_statistic", 3)}[method]
+        original = getattr(torusgraphs.simulation, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > per_rep:
+                raise ParseError("bad cell", row=7)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(torusgraphs.simulation, name, failing)
+        replicates = draw_replicates(GeneratorSpec(kind="uniform-null", options={"d": 3}),
+                                     n_reps=3, N=200, seed=21)
+        experiment = recovery_experiment if method == "recovery" else plv_recovery_experiment
+        with pytest.raises(ParseError) as info:
+            experiment(replicates)
+        assert info.value.row == 7
+        assert f"replicate 1 (seed {replicates[1].seed}): bad cell" in str(info.value)
+
+
+class TestDrawReplicates:
+    def test_one_draw_per_replicate(self):
+        recorder = _FailingGenerator(DomainError("never raised"), fail_at=10)
+        replicates = draw_replicates(recorder, n_reps=4, N=200, seed=5)
+        assert [r.seed for r in replicates] == recorder.seeds
+        assert len(set(recorder.seeds)) == 4
+
+    @pytest.mark.parametrize("n_reps,N", [(0, 100), (-1, 100), (2, 0), (2, -5)])
+    def test_bad_counts_rejected_before_any_draw(self, n_reps, N):
+        recorder = _FailingGenerator(DomainError("never raised"), fail_at=10)
+        with pytest.raises(DomainError, match="at least one replicate and one trial"):
+            draw_replicates(recorder, n_reps=n_reps, N=N, seed=5)
+        assert recorder.seeds == []
