@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as tgio
 from .circular import circular_mean_resultant, rayleigh_statistic, rayleigh_test, wrap_angle
-from .estimation import accumulate_moments, fit_closed_form, fit_group_lasso, select_lambda_cv
+from .estimation import _cross_validate, accumulate_moments, fit_closed_form, fit_group_lasso
 from .estimation import FitResult
 from .exceptions import DomainError, NumericalError, SchemaError, TorusGraphError
 from .inference import (
@@ -93,7 +93,7 @@ def _load_fit(args):
     if params.d != ds.d:
         raise DomainError(f"model dimension {params.d} does not match data dimension {ds.d}")
     moments = accumulate_moments(ds.angles)
-    resid = float(np.max(np.abs(moments.gamma_hat @ params.phi - moments.h_hat)))
+    resid = float(np.max(np.abs(moments.gamma_dot(params.phi) - moments.h_hat)))
     return ds, FitResult(params=params, moments=moments, method="loaded", residual_norm=resid)
 
 
@@ -115,9 +115,10 @@ def cmd_fit(args):
             grid = [float(g) for g in args.grid.split(",")]
         except ValueError as exc:
             raise DomainError(f"--grid: {exc}") from exc
-        lam, table = select_lambda_cv(ds.angles, family=family, folds=args.cv,
-                                      grid=grid, seed=args.seed)
-        fit = fit_group_lasso(ds.angles, family=family, lam=lam)
+        # the refit reuses the folds' moments, pooled, instead of accumulating again
+        lam, table, moments = _cross_validate(ds.angles, family=family, folds=args.cv,
+                                              grid=grid, seed=args.seed)
+        fit = fit_group_lasso(None, family=family, lam=lam, moments=moments)
         print(f"cross-validation over {len(grid)} penalty weights, {args.cv} folds:")
         for g, loss in table:
             marker = " *" if g == lam else ""

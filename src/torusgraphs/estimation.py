@@ -11,8 +11,11 @@ likelihood's normalizer is intractable here.
 D is never built densely for a batch. Column l of D is a signed gather of
 the statistics themselves (:func:`torusgraphs.model._derivative_table`): only
 the 4d - 2 coordinates touching node l are nonzero, so Gamma_hat is a sum over
-nodes of (4d - 2)-square Gram blocks A_l' A_l scattered onto those
-coordinates, O(N d^3) work.
+nodes of (4d - 2)-square Gram blocks B_l = A_l' A_l / N placed on those
+coordinates, O(N d^3) work. The moments keep the d blocks, not the 2d^2-square
+Gamma_hat: a product with Gamma_hat is one batched product over the blocks,
+and the only dense Gamma the package builds is the block on a fit's active
+coordinates, made fresh where it is factored.
 
 Affine submodels are handled by index deletion (rows/columns of masked
 coordinates are dropped and the solution re-embedded with exact zeros). The
@@ -78,29 +81,75 @@ def gamma_H_of_sample(x):
 
 @dataclass(frozen=True)
 class ScoreMatchingMoments:
-    """Empirical moments: gamma_hat (2d^2 x 2d^2, symmetric PSD), h_hat (2d^2),
-    and the sample count they average over."""
+    """Empirical moments, held by node.
 
-    gamma_hat: np.ndarray
+    ``blocks`` is (d, 4d - 2, 4d - 2): block l is B_l = A_l' A_l / n, the Gram
+    matrix of the derivatives with respect to x_l of the 4d - 2 statistics
+    that depend on it (their coordinates are row l of
+    ``model._derivative_table(d)[0]``). Gamma_hat is the sum of the blocks
+    placed on those coordinates; it is applied by :meth:`gamma_dot` and
+    assembled on a coordinate subset by :meth:`gamma_block`. ``h_hat`` is
+    (2d^2,), and ``n`` the sample count the moments average over.
+    """
+
+    blocks: np.ndarray
     h_hat: np.ndarray
     n: int
 
     def __post_init__(self):
-        g = np.array(self.gamma_hat, dtype=float)
+        b = np.array(self.blocks, dtype=float)
         h = np.array(self.h_hat, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or h.shape != (g.shape[0],):
+        d = b.shape[0] if b.ndim == 3 else 0
+        if d < 1 or b.shape[1:] != (4 * d - 2, 4 * d - 2) or h.shape != (param_dim(d),):
             raise DomainError("inconsistent moment shapes")
-        d = int(round(np.sqrt(g.shape[0] / 2)))
-        if param_dim(d) != g.shape[0]:
-            raise DomainError(f"moment dimension {g.shape[0]} is not 2*d^2 for any d")
-        g.flags.writeable = False
+        b.flags.writeable = False
         h.flags.writeable = False
-        object.__setattr__(self, "gamma_hat", g)
+        object.__setattr__(self, "blocks", b)
         object.__setattr__(self, "h_hat", h)
 
     @property
     def d(self):
-        return int(round(np.sqrt(self.gamma_hat.shape[0] / 2)))
+        return self.blocks.shape[0]
+
+    def gamma_dot(self, v):
+        """Gamma_hat @ v for a vector over all 2d^2 coordinates."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.h_hat.shape:
+            raise DomainError("vector does not match the moment dimension")
+        idx = _derivative_table(self.d)[0]
+        out = np.matmul(self.blocks, v[idx][:, :, None])[:, :, 0]
+        return np.bincount(idx.ravel(), weights=out.ravel(), minlength=v.size)
+
+    def gamma_block(self, coords):
+        """Gamma_hat restricted to ``coords`` (distinct coordinates), as a new
+        C-ordered array. Each block is added in node order onto both
+        triangles, so the result is exactly symmetric and may be factored in
+        place."""
+        coords = np.asarray(coords, dtype=int)
+        pos = -np.ones(self.h_hat.size, dtype=int)
+        pos[coords] = np.arange(coords.size)
+        G = np.zeros((coords.size, coords.size))
+        for node_coords, B in zip(_derivative_table(self.d)[0], self.blocks):
+            p = pos[node_coords]
+            keep = np.nonzero(p >= 0)[0]
+            if keep.size:
+                G[np.ix_(p[keep], p[keep])] += B[np.ix_(keep, keep)]
+        return G
+
+    @property
+    def gamma_hat(self):
+        """The full 2d^2-square Gamma_hat, assembled on each access (read-only)."""
+        G = self.gamma_block(np.arange(self.h_hat.size))
+        G.flags.writeable = False
+        return G
+
+
+def _pool(parts):
+    """Moments of the union of disjoint samples from each sample's moments."""
+    n = sum(p.n for p in parts)
+    blocks = sum(p.blocks * p.n for p in parts) / n
+    h = sum(p.h_hat * p.n for p in parts) / n
+    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
 
 
 def _pairwise_reduce(blocks):
@@ -132,41 +181,47 @@ def _pairwise_reduce(blocks):
 def accumulate_moments(data):
     """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix.
 
-    Per chunk of rows, each node's Gram block A_l' A_l is added onto its
-    4d - 2 coordinates; chunk sums are combined by a pairwise reduction as
+    Per chunk of rows, each node's Gram block A_l' A_l is formed; the chunks'
+    (d, 4d - 2, 4d - 2) block stacks are combined by a pairwise reduction as
     they are made, so the result is deterministic and order-stable to ~1e-10
-    even for large N*d.
+    even for large N*d. No 2d^2-square array is made.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
     if n < 1:
         raise DomainError("need at least one sample")
-    m = param_dim(d)
-    table = _derivative_table(d)
+    _, src, sign = _derivative_table(d)
     h_parts = []
 
     def grams():
         for S in _stat_chunks(X):
-            g = np.zeros((m, m))
-            for coords, src, sign in zip(*table):
-                A = S[:, src] * sign  # dS[:, coords] / dx_l, all rows of the chunk
-                g[np.ix_(coords, coords)] += A.T @ A
-            h_parts.append(_h_rows(S, d).sum(axis=0))
+            g = np.empty((d, src.shape[1], src.shape[1]))
+            for l in range(d):
+                A = S[:, src[l]]
+                A *= sign[l]  # dS[:, coords_l] / dx_l, all rows of the chunk
+                g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
+            h = S.sum(axis=0)
+            h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
+            h_parts.append(h)
+            del S, A
             yield g
+            del g  # no chunk array stays alive while the next chunk is made
 
-    # each chunk Gram scatters symmetric A'A blocks, so gamma is exactly symmetric
-    gamma = _pairwise_reduce(grams())
-    gamma /= n
+    blocks = _pairwise_reduce(grams())
+    blocks /= n
     h = _pairwise_reduce(h_parts) / n
-    return ScoreMatchingMoments(gamma_hat=gamma, h_hat=h, n=n)
+    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
 
 
 def sm_objective(phi, moments):
-    """Empirical score-matching objective (1/2) phi' Gamma phi - phi' H."""
+    """Empirical score-matching objective (1/2) phi' Gamma phi - phi' H, with
+    phi' Gamma phi = sum over nodes of phi_l' B_l phi_l."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != moments.h_hat.shape:
         raise DomainError("phi does not match the moment dimension")
-    return float(0.5 * phi @ moments.gamma_hat @ phi - phi @ moments.h_hat)
+    v = phi[_derivative_table(moments.d)[0]]
+    quad = float(np.sum(v * np.matmul(moments.blocks, v[:, :, None])[:, :, 0]))
+    return 0.5 * quad - float(phi @ moments.h_hat)
 
 
 @dataclass(frozen=True)
@@ -233,12 +288,11 @@ def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     d = moments.d
     family = Family(family)
     idx = _active_indices(d, family, zero_edges)
-    G = moments.gamma_hat[np.ix_(idx, idx)]
     b = moments.h_hat[idx]
-    cho = _checked_cholesky(G, moments.n, param_dim(d))
+    cho = _checked_cholesky(moments.gamma_block(idx), moments.n, param_dim(d))
     phi = np.zeros(param_dim(d))
     phi[idx] = scipy.linalg.cho_solve(cho, b, check_finite=False)
-    residual = float(np.max(np.abs((moments.gamma_hat @ phi)[idx] - b))) if idx.size else 0.0
+    residual = float(np.max(np.abs(moments.gamma_dot(phi)[idx] - b))) if idx.size else 0.0
     params = TorusGraphParams(d=d, phi=phi, family=family)
     return FitResult(params=params, moments=moments, method="closed_form", residual_norm=residual)
 
@@ -290,7 +344,7 @@ def _lasso_system(moments, family, zero_edges):
     moments only, so one eigvalsh serves every penalty weight."""
     d = moments.d
     idx = _active_indices(d, family, zero_edges)
-    G = moments.gamma_hat[np.ix_(idx, idx)]
+    G = moments.gamma_block(idx)
     b = moments.h_hat[idx]
     lipschitz = float(np.linalg.eigvalsh(G)[-1]) if idx.size else 1.0
     return idx, G, b, _penalized_blocks(d, idx), 1.0 / max(lipschitz, 1e-12)
@@ -402,6 +456,12 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     all be finite and >= 0. Returns (best lambda, table of (lambda, mean
     loss)).
     """
+    return _cross_validate(data, family, folds, grid, seed, zero_edges, tol)[:2]
+
+
+def _cross_validate(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_edges=None, tol=1e-8):
+    """:func:`select_lambda_cv`, also returning the moments of all the data
+    pooled from the folds' moments, so a refit need not accumulate again."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n = X.shape[0]
     if folds < 2:
@@ -420,10 +480,7 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     phi = np.zeros(param_dim(X.shape[1]))
     for f in range(folds):
         held = fold_moments[f]
-        n_train = n - held.n
-        g_train = sum(fm.gamma_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
-        h_train = sum(fm.h_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
-        train = ScoreMatchingMoments(gamma_hat=g_train, h_hat=h_train, n=n_train)
+        train = _pool([fm for i, fm in enumerate(fold_moments) if i != f])
         idx, G, b, blocks, step = _lasso_system(train, family, zero_edges)
         for gi, lam in enumerate(lams):
             phi[idx] = _fista(G, b, blocks, lam, step, tol, _LASSO_MAX_ITER)[0]
@@ -431,4 +488,4 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     mean_loss = losses.mean(axis=1)
     best = int(np.argmin(mean_loss))
     table = [(lam, float(loss)) for lam, loss in zip(lams, mean_loss)]
-    return lams[best], table
+    return lams[best], table, _pool(fold_moments)

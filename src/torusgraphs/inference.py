@@ -24,11 +24,11 @@ from .circular import bessel_ratio, chi2_sf, fisher_combine, ks_two_sample, wrap
 from .estimation import (
     FitResult,
     _checked_cholesky,
+    _cross_validate,
     _h_rows,
     _stat_chunks,
     accumulate_moments,
     fit_group_lasso,
-    select_lambda_cv,
 )
 from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
 from .model import Family, _derivative_table, coupling_slice, edge_list, param_dim
@@ -71,8 +71,10 @@ def asymptotic_cov(data, params, moments=None):
     With residual rows r_n = Gamma(x_n) phi - H(x_n) on the active
     coordinates, V_hat = R'R / N and Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1
     = F'F for the factor F = R Gamma_hat^-1 / sqrt(N), which is all that is
-    formed: one Cholesky of the active Gamma block and one solve against R,
-    written in place. Tests read small blocks of Sigma through
+    formed: the active Gamma block is assembled from the moments' node blocks
+    (:meth:`ScoreMatchingMoments.gamma_block`) and factored in place, and the
+    solve against R is written into R, so those two are the only large
+    arrays. Tests read small blocks of Sigma through
     :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
     coefficient vector. Raises SingularMomentsError under the same Cholesky
     and condition guard as the closed-form fit.
@@ -85,7 +87,7 @@ def asymptotic_cov(data, params, moments=None):
         moments = accumulate_moments(X)
     m = param_dim(d)
     idx = np.nonzero(params.active)[0]
-    cho = _checked_cholesky(moments.gamma_hat[np.ix_(idx, idx)], moments.n, m)
+    cho = _checked_cholesky(moments.gamma_block(idx), moments.n, m)
     phi = params.phi
     table = _derivative_table(d)
     R = np.empty((n, idx.size))
@@ -366,11 +368,12 @@ def bootstrap_null_test(
         grid = np.geomspace(1e-3, 1.0, 7)
 
     def cv_fit(sample, cv_seed, zero_edges=None):
-        lam, _ = select_lambda_cv(
+        lam, _, moments = _cross_validate(
             sample, family=family, folds=folds, grid=grid, seed=cv_seed,
             zero_edges=zero_edges, tol=tol,
         )
-        return fit_group_lasso(sample, family=family, lam=lam, zero_edges=zero_edges, tol=tol)
+        return fit_group_lasso(None, family=family, lam=lam, zero_edges=zero_edges, tol=tol,
+                               moments=moments)
 
     seeds = np.random.SeedSequence(seed).spawn(B + 2)
     obs_fit = cv_fit(X, int(seeds[0].generate_state(1)[0]))

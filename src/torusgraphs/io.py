@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .circular import wrap_angle
-from .exceptions import ParseError, SchemaError
+from .exceptions import DomainError, ParseError, SchemaError
 from .inference import EdgeTest, GraphStructure
 from .model import Family, TorusGraphParams, param_dim
-from .simulation import GeneratorSpec
+from .simulation import GeneratorSpec, _generator_options
 
 SCHEMA_VERSION = 1
 
@@ -287,18 +287,29 @@ def load_groups(path):
 
 
 def load_experiment_config(path):
-    """Read a benchmark configuration; returns (GeneratorSpec, settings dict)."""
+    """Read a benchmark configuration; returns (GeneratorSpec, settings dict).
+
+    Unknown generator kinds, missing or unknown generator options and a
+    non-integer ``d`` are SchemaError; values out of range (d < 2, alpha
+    outside (0, 1)) are DomainError, as is a negative seed (raised by
+    ``draw_replicates``), all before any data is drawn.
+    """
     doc = _read_json(path)
     _check_version(doc)
     gen_doc = _require(doc, "generator", dict)
     kind = _require(gen_doc, "kind", str)
+    if kind not in GeneratorSpec._KINDS:
+        raise SchemaError(f"unknown generator kind {kind!r}; expected one of {GeneratorSpec._KINDS}")
     options = {k: v for k, v in gen_doc.items() if k != "kind"}
+    required, optional = _generator_options(kind)
+    missing, unknown = sorted(required - options.keys()), sorted(options.keys() - required - optional)
+    if missing or unknown:
+        raise SchemaError(f"generator {kind!r}: missing options {missing}, unknown options {unknown}")
+    if "d" in options:
+        _require(options, "d", int)
     if "contam" in options:
         options["contam"] = tuple(options["contam"])
-    try:
-        spec = GeneratorSpec(kind=kind, options=options)
-    except Exception as exc:
-        raise SchemaError(str(exc)) from exc
+    spec = GeneratorSpec(kind=kind, options=options)
     settings = {
         "n_reps": _require(doc, "n_reps", int),
         "N": _require(doc, "N", int),
@@ -316,6 +327,8 @@ def load_experiment_config(path):
             raise SchemaError(f"unknown method {m!r}")
     if settings["correction"] not in ("none", "bonferroni"):
         raise SchemaError(f"unknown correction {settings['correction']!r}")
+    if not 0 < settings["alpha"] < 1:
+        raise DomainError(f"alpha must be in (0, 1), got {settings['alpha']!r}")
     try:
         Family(settings["family"])
     except ValueError as exc:

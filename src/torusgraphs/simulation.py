@@ -9,6 +9,7 @@ replicated data sets once, scores every candidate edge in each with a method
 positive/negative rates at a chosen decision rule.
 """
 
+import inspect
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -158,12 +159,32 @@ def gen_random_torus_graph(d, edge_density, coupling_scale=1.0, seed=0, marginal
     return params, truth
 
 
+def _generator(kind):
+    """The gen_* function of a generator kind, looked up when called."""
+    return {"chain": gen_chain, "indirect-triple": gen_indirect_triple,
+            "uniform-null": gen_uniform_null, "random": gen_random_torus_graph}[kind]
+
+
+def _generator_options(kind):
+    """(required, optional) option names of a generator kind: the keyword
+    arguments of its gen_* function other than N and seed, plus the Gibbs
+    settings ``gibbs`` of ``random``."""
+    params = inspect.signature(_generator(kind)).parameters.values()
+    required = {p.name for p in params if p.default is p.empty} - {"N"}
+    optional = {p.name for p in params if p.default is not p.empty} - {"seed"}
+    if kind == "random":
+        optional.add("gibbs")
+    return required, optional
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Declarative generator description used by the benchmark harness.
 
     kind: one of "chain", "indirect-triple", "uniform-null", "random".
     options: keyword arguments of the matching gen_* function (minus N, seed).
+    A kind with a dimension option ``d`` needs an integer d >= 2, so that
+    there is at least one pair to score.
     """
 
     kind: str
@@ -174,14 +195,16 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}; expected one of {self._KINDS}")
+        if "d" in self.options:
+            d = self.options["d"]
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+                raise DomainError(f"generator {self.kind!r} needs an integer d >= 2, got {d!r}")
 
     def generate(self, N, seed):
         """Produce (angles, truth, true_params-or-None) for one replicate."""
         opts = dict(self.options)
-        direct = {"chain": gen_chain, "indirect-triple": gen_indirect_triple,
-                  "uniform-null": gen_uniform_null}.get(self.kind)
-        if direct is not None:
-            return (*direct(N=N, seed=seed, **opts), None)
+        if self.kind != "random":
+            return (*_generator(self.kind)(N=N, seed=seed, **opts), None)
         gibbs = opts.pop("gibbs", {})
         params, truth = gen_random_torus_graph(seed=seed, **opts)
         cfg = GibbsConfig(
@@ -239,9 +262,11 @@ def _decision_rates(pvals, labels, alpha, correction):
 
 def draw_replicates(gen, n_reps, N, seed=0):
     """Draw ``n_reps`` data sets of ``N`` trials from ``gen``, one per seed
-    spawned from ``seed``; every method scores this same list."""
+    spawned from ``seed`` (>= 0); every method scores this same list."""
     if n_reps < 1 or N < 1:
         raise DomainError(f"need at least one replicate and one trial, got n_reps={n_reps}, N={N}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_reps)]
     replicates = []
     for rep, rep_seed in enumerate(seeds):

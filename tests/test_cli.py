@@ -52,6 +52,24 @@ class TestFitAndTest:
             "--out", str(model),
         ]) == 0
 
+    def test_cv_refit_reuses_fold_moments(self, tmp_path, chain_csv, monkeypatch):
+        # each row's moments are accumulated once, in its fold; the refit
+        # pools the folds' moments
+        import torusgraphs.estimation
+
+        rows = []
+        inner = torusgraphs.estimation.accumulate_moments
+
+        def counted(data):
+            rows.append(len(data))
+            return inner(data)
+
+        monkeypatch.setattr(torusgraphs.estimation, "accumulate_moments", counted)
+        data, _ = chain_csv
+        assert main(["fit", str(data), "--cv", "3", "--grid", "0.01,0.1", "--seed", "1",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert rows == [280, 280, 280]
+
     def test_phase_diff_family_auto_mode(self, tmp_path, chain_csv):
         data, truth = chain_csv
         model = tmp_path / "m.json"
@@ -192,6 +210,21 @@ class TestBench:
         assert isinstance(calls["recovery"][0], RecoverySummary)
         assert len(calls["recovery"][0].fpr_reps) == 3
         assert calls["generate"] == 3
+
+
+def _count_generate(monkeypatch):
+    """Count the data sets drawn through GeneratorSpec.generate."""
+    from torusgraphs.simulation import GeneratorSpec
+
+    calls = [0]
+    inner = GeneratorSpec.generate
+
+    def counted(self, N, seed):
+        calls[0] += 1
+        return inner(self, N, seed)
+
+    monkeypatch.setattr(GeneratorSpec, "generate", counted)
+    return calls
 
 
 def _bench_config(tmp_path, kind, **settings):
@@ -337,6 +370,45 @@ class TestExitCodes:
         cfg = _bench_config(tmp_path, kind, N=N)
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert f"at least one replicate and one trial, got n_reps=2, N={N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,generator,message", [
+        ("uniform-null", {"d": True}, "field 'd' has the wrong type"),
+        ("chain", {"d": 4, "kappa1": 0.01, "kappa_eps": 40.0}, "missing options ['xi']"),
+        ("uniform-null", {"d": 3, "xi": 0.1}, "unknown options ['xi']"),
+    ], ids=["bool-d", "chain-without-xi", "unknown-option"])
+    def test_schema_error_bad_generator(self, tmp_path, capsys, kind, generator, message):
+        cfg = _bench_config(tmp_path, kind)
+        doc = json.loads(cfg.read_text())
+        doc["generator"] = {"kind": kind, **generator}
+        cfg.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,d", [("uniform-null", 1), ("uniform-null", 0), ("random", 1)])
+    def test_domain_error_generator_dimension(self, tmp_path, capsys, monkeypatch, kind, d):
+        draws = _count_generate(monkeypatch)
+        cfg = _bench_config(tmp_path, kind)
+        doc = json.loads(cfg.read_text())
+        doc["generator"]["d"] = d
+        cfg.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"needs an integer d >= 2, got {d}" in capsys.readouterr().err
+        assert draws == [0]
+
+    def test_domain_error_negative_seed(self, tmp_path, capsys, monkeypatch):
+        draws = _count_generate(monkeypatch)
+        cfg = _bench_config(tmp_path, "uniform-null", seed=-1)
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert draws == [0]
+
+    @pytest.mark.parametrize("alpha", [-1, 0, 1, 5])
+    def test_domain_error_alpha_out_of_range(self, tmp_path, capsys, monkeypatch, alpha):
+        draws = _count_generate(monkeypatch)
+        cfg = _bench_config(tmp_path, "uniform-null", alpha=alpha)
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert draws == [0]
 
     def test_numerical_error_ill_conditioned_sandwich(self, tmp_path):
         # duplicated channel: the sandwich solve hits the condition guard

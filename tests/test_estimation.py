@@ -369,6 +369,30 @@ class TestSelectLambdaCV:
                 hits += 1
         assert hits >= int(np.ceil(0.90 * 50))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refit_moments_pooled_from_folds(self, seed):
+        # the folds' moments, pooled, are the moments of all the rows: the
+        # same to rounding, so a direct solve on them agrees to 1e-12; the
+        # group-lasso refit keeps the support and the 1e-5 coefficient bound
+        # of solves whose inputs differ only in summation order
+        grid = np.geomspace(2e-3, 0.5, 5)
+        X, _ = gen_chain(N=840, d=5, xi=np.pi / 100, kappa1=0.01, kappa_eps=40.0,
+                         contam=(15, 0.1), seed=2000 + seed)
+        lam, table, pooled = estimation._cross_validate(X, folds=3, grid=grid, seed=seed)
+        assert (lam, table) == select_lambda_cv(X, folds=3, grid=grid, seed=seed)
+        fresh = accumulate_moments(X)
+        assert pooled.n == fresh.n
+        np.testing.assert_allclose(pooled.blocks, fresh.blocks, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pooled.h_hat, fresh.h_hat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit_closed_form(None, moments=pooled).params.phi,
+                                   fit_closed_form(None, moments=fresh).params.phi,
+                                   rtol=0, atol=1e-12)
+        refit = fit_group_lasso(None, lam=lam, moments=pooled).params.phi
+        ref = fit_group_lasso(None, lam=lam, moments=fresh).params.phi
+        assert [np.any(refit[coupling_slice(5, j, k)] != 0) for j, k in edge_list(5)] == \
+            [np.any(ref[coupling_slice(5, j, k)] != 0) for j, k in edge_list(5)]
+        np.testing.assert_allclose(refit, ref, rtol=0, atol=1e-5)
+
     @pytest.mark.parametrize("folds", [2, 5])
     def test_one_eigvalsh_per_fold(self, monkeypatch, folds):
         X = np.random.default_rng(56).uniform(0, 2 * np.pi, size=(200, 3))

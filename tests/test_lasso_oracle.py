@@ -11,7 +11,11 @@ one ulp of a loss near 100); from there each solver stops at its own point
 within the stopping tolerance. So the penalty weight and the support must be the same,
 coefficients within 1e-5, and held-out losses within 1e-6 absolute plus
 1e-7 relative: ten times the CV solve's relative tolerance of 1e-8.
+The oracle pools its training folds as dense Gamma matrices, held in the
+local ``DenseMoments`` record the package's moments once were.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,7 +25,6 @@ from hypothesis import strategies as st
 from torusgraphs import estimation
 from torusgraphs.estimation import (
     FitResult,
-    ScoreMatchingMoments,
     _active_indices,
     _block_norms,
     _group_soft_threshold,
@@ -39,6 +42,19 @@ LOSS_ATOL = 1e-6
 LOSS_RTOL = 1e-7
 # the penalty grids of the d=5 chain tests in test_estimation.py
 LAMBDAS = (0.0, *np.geomspace(1e-3, 2.0, 8), *np.geomspace(2e-3, 0.5, 5))
+
+
+@dataclass(frozen=True)
+class DenseMoments:
+    """Moments with Gamma_hat as a dense 2d^2-square array."""
+
+    gamma_hat: np.ndarray
+    h_hat: np.ndarray
+    n: int
+
+    @property
+    def d(self):
+        return int(round(np.sqrt(self.gamma_hat.shape[0] / 2)))
 
 
 def fit_group_lasso(
@@ -158,7 +174,7 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
         n_train = n - held.n
         g_train = sum(fm.gamma_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
         h_train = sum(fm.h_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
-        train = ScoreMatchingMoments(gamma_hat=g_train, h_hat=h_train, n=n_train)
+        train = DenseMoments(gamma_hat=g_train, h_hat=h_train, n=n_train)
         for gi, lam in enumerate(grid):
             fit = fit_group_lasso(
                 None, family=family, lam=lam, zero_edges=zero_edges, moments=train, tol=tol
