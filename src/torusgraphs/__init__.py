@@ -28,8 +28,6 @@ from .estimation import (
     accumulate_moments,
     fit_closed_form,
     fit_group_lasso,
-    gamma_H_of_sample,
-    jacobian_D,
     select_lambda_cv,
     sm_objective,
 )

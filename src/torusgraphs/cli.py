@@ -16,8 +16,8 @@ import numpy as np
 
 from . import io as tgio
 from .circular import circular_mean_resultant, rayleigh_statistic, rayleigh_test, wrap_angle
-from .estimation import _cross_validate, accumulate_moments, fit_closed_form, fit_group_lasso
-from .estimation import FitResult
+from .estimation import FitResult, _cross_validate, _equation_residual, accumulate_moments
+from .estimation import fit_closed_form, fit_group_lasso
 from .exceptions import DomainError, NumericalError, SchemaError, TorusGraphError
 from .inference import (
     MODE_FULL,
@@ -84,17 +84,19 @@ def _load_dataset(args):
     )
 
 
-def _load_fit(args):
-    """Load the angle CSV and the model, check that their dimensions agree,
-    and wrap the model as a FitResult over the data's moments, with its
-    estimating-equation residual max|Gamma phi - H|."""
+def _load_model_data(args):
+    """Load the angle CSV and the model and check that their dimensions agree."""
     ds = _load_dataset(args)
     params = tgio.load_model(args.model)
     if params.d != ds.d:
         raise DomainError(f"model dimension {params.d} does not match data dimension {ds.d}")
-    moments = accumulate_moments(ds.angles)
-    resid = float(np.max(np.abs(moments.gamma_dot(params.phi) - moments.h_hat)))
-    return ds, FitResult(params=params, moments=moments, method="loaded", residual_norm=resid)
+    return ds, params
+
+
+def _loaded_fit(params, moments):
+    """A loaded model as a FitResult, with its residual on its active set."""
+    resid = _equation_residual(moments, params.phi, np.nonzero(params.active)[0])
+    return FitResult(params=params, moments=moments, method="loaded", residual_norm=resid)
 
 
 def _add_dataset_options(p):
@@ -136,8 +138,9 @@ def cmd_fit(args):
 
 
 def cmd_test(args):
-    ds, fit = _load_fit(args)
-    cov = asymptotic_cov(ds.angles, fit.params, moments=fit.moments)
+    ds, params = _load_model_data(args)
+    cov = asymptotic_cov(ds.angles, params)  # one walk gives the moments too
+    fit = _loaded_fit(params, cov.moments)
     mode = _auto_mode(fit.params.family, args.mode)
     tests = [edge_test(fit, cov, j, k, mode=mode) for j, k in edge_list(ds.d)]
     graph = build_graph(tests, alpha=args.alpha, correction=args.correction, d=ds.d)
@@ -154,13 +157,14 @@ def cmd_test(args):
 
 
 def cmd_region_test(args):
-    ds, fit = _load_fit(args)
+    ds, params = _load_model_data(args)
     groups = tgio.load_groups(args.groups)
     for name, members in groups.items():
         for m in members:
             if not 0 <= m < ds.d:
                 raise DomainError(f"group {name!r} lists channel {m}, but d={ds.d}")
-    cov = asymptotic_cov(ds.angles, fit.params, moments=fit.moments)
+    cov = asymptotic_cov(ds.angles, params)  # one walk gives the moments too
+    fit = _loaded_fit(params, cov.moments)
     mode = _auto_mode(fit.params.family, args.mode)
     names = sorted(groups)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
@@ -248,7 +252,8 @@ def cmd_phase_density(args):
 
 
 def cmd_gof(args):
-    ds, fit = _load_fit(args)
+    ds, params = _load_model_data(args)
+    fit = _loaded_fit(params, accumulate_moments(ds.angles))
     res = goodness_of_fit(ds.angles, fit, n_synth=args.n_synth, seed=args.seed)
     print(f"goodness of fit against {args.n_synth} synthetic draws (seed {args.seed}):")
     print(f"  marginals          combined p = {res['p_marginal']:.4g}")

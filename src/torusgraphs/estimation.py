@@ -15,7 +15,10 @@ nodes of (4d - 2)-square Gram blocks B_l = A_l' A_l / N placed on those
 coordinates, O(N d^3) work. The moments keep the d blocks, not the 2d^2-square
 Gamma_hat: a product with Gamma_hat is one batched product over the blocks,
 and the only dense Gamma the package builds is the block on a fit's active
-coordinates, made fresh where it is factored.
+coordinates, made fresh where it is factored. One walk over the data
+(:func:`_derivative_walk`) feeds each node's derivative rows both to the Gram
+blocks and to the sandwich covariance's residual rows, so a test reads each
+data row once.
 
 Affine submodels are handled by index deletion (rows/columns of masked
 coordinates are dropped and the solution re-embedded with exact zeros). The
@@ -44,39 +47,6 @@ from .model import (
 _CHUNK = 256
 _COND_LIMIT = 1e12
 _LASSO_MAX_ITER = 20000
-
-
-def jacobian_D(x):
-    """Jacobian of the sufficient statistics: (2d^2, d), entry (i, l) is
-    the partial derivative of statistic i with respect to angle l."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise DomainError("x must be a 1-D angle vector")
-    d = x.size
-    idx, src, sign = _derivative_table(d)
-    D = np.zeros((param_dim(d), d))
-    D[idx, np.arange(d)[:, None]] = sign * suff_stats_batch(x)[0][src]
-    return D
-
-
-def _h_rows(S, d):
-    """H(x) = [S1, 2 S2] from statistic rows S -> same shape (a copy)."""
-    H = S.copy()
-    H[:, 2 * d :] *= 2.0
-    return H
-
-
-def _stat_chunks(X):
-    """Statistics of fixed-size row blocks of X (a fixed summation order)."""
-    for start in range(0, X.shape[0], _CHUNK):
-        yield suff_stats_batch(X[start : start + _CHUNK])
-
-
-def gamma_H_of_sample(x):
-    """Per-sample moment contributions Gamma(x) = D D^T and H(x) = [S1, 2 S2]."""
-    x = np.asarray(x, dtype=float)
-    D = jacobian_D(x)
-    return D @ D.T, _h_rows(suff_stats_batch(x), x.size)[0]
 
 
 @dataclass(frozen=True)
@@ -178,39 +148,60 @@ def _pairwise_reduce(blocks):
     return total
 
 
-def accumulate_moments(data):
-    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix.
-
-    Per chunk of rows, each node's Gram block A_l' A_l is formed; the chunks'
-    (d, 4d - 2, 4d - 2) block stacks are combined by a pairwise reduction as
-    they are made, so the result is deterministic and order-stable to ~1e-10
-    even for large N*d. No 2d^2-square array is made.
-    """
-    X = np.atleast_2d(np.asarray(data, dtype=float))
+def _derivative_walk(X, phi=None, idx=None, moments=None):
+    """One pass over the (N, d) angles X in 256-row chunks: per chunk the
+    statistics S, then each node's derivative rows A_l = dS[:, coords_l]/dx_l
+    (a signed gather of S). A_l makes the Gram block A_l' A_l unless
+    ``moments`` are passed and, given ``phi``, its term of the residual rows
+    Gamma(x) phi - H(x) on the columns ``idx``. Chunk sums are pairwise
+    reduced as they are made (deterministic, order-stable to ~1e-10 for large
+    N*d). Returns (moments, residual rows or None)."""
     n, d = X.shape
     if n < 1:
         raise DomainError("need at least one sample")
-    _, src, sign = _derivative_table(d)
+    coords, src, sign = _derivative_table(d)
+    R = None if phi is None else np.empty((n, idx.size))
     h_parts = []
 
-    def grams():
-        for S in _stat_chunks(X):
-            g = np.empty((d, src.shape[1], src.shape[1]))
+    def chunks():
+        for start in range(0, n, _CHUNK):
+            S = suff_stats_batch(X[start : start + _CHUNK])
+            g = np.empty((d, src.shape[1], src.shape[1])) if moments is None else None
+            r = None if phi is None else -S
+            if r is not None:
+                r[:, 2 * d :] *= 2.0  # -H(x) = -[S1, 2 S2]
             for l in range(d):
                 A = S[:, src[l]]
                 A *= sign[l]  # dS[:, coords_l] / dx_l, all rows of the chunk
-                g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
-            h = S.sum(axis=0)
-            h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
-            h_parts.append(h)
-            del S, A
+                if g is not None:
+                    g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
+                if r is not None:
+                    r[:, coords[l]] += A * (A @ phi[coords[l]])[:, None]
+            if g is not None:
+                h = S.sum(axis=0)
+                h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
+                h_parts.append(h)
+            if r is not None:
+                # the indices are in range; mode="raise" would write through a buffer
+                np.take(r, idx, axis=1, out=R[start : start + len(S)], mode="clip")
+            del S, A, r
             yield g
             del g  # no chunk array stays alive while the next chunk is made
 
-    blocks = _pairwise_reduce(grams())
+    if moments is not None:
+        for _ in chunks():  # the walk for R alone
+            pass
+        return moments, R
+    blocks = _pairwise_reduce(chunks())
     blocks /= n
     h = _pairwise_reduce(h_parts) / n
-    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
+    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n), R
+
+
+def accumulate_moments(data):
+    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix
+    (:func:`_derivative_walk`); no 2d^2-square array is made."""
+    return _derivative_walk(np.atleast_2d(np.asarray(data, dtype=float)))[0]
 
 
 def sm_objective(phi, moments):
@@ -246,6 +237,12 @@ def _active_indices(d, family, zero_edges=None):
         for j, k in zero_edges:
             active[coupling_slice(d, j, k)] = False
     return np.nonzero(active)[0]
+
+
+def _equation_residual(moments, phi, idx):
+    """max |Gamma_hat phi - H_hat| over the active coordinates ``idx``."""
+    r = moments.gamma_dot(phi)[idx] - moments.h_hat[idx]
+    return float(np.max(np.abs(r))) if idx.size else 0.0
 
 
 def _checked_cholesky(G, n, m_total):
@@ -292,9 +289,9 @@ def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     cho = _checked_cholesky(moments.gamma_block(idx), moments.n, param_dim(d))
     phi = np.zeros(param_dim(d))
     phi[idx] = scipy.linalg.cho_solve(cho, b, check_finite=False)
-    residual = float(np.max(np.abs(moments.gamma_dot(phi)[idx] - b))) if idx.size else 0.0
     params = TorusGraphParams(d=d, phi=phi, family=family)
-    return FitResult(params=params, moments=moments, method="closed_form", residual_norm=residual)
+    return FitResult(params=params, moments=moments, method="closed_form",
+                     residual_norm=_equation_residual(moments, phi, idx))
 
 
 def _penalized_blocks(d, idx):
@@ -350,7 +347,7 @@ def _lasso_system(moments, family, zero_edges):
     return idx, G, b, _penalized_blocks(d, idx), 1.0 / max(lipschitz, 1e-12)
 
 
-def _fista(G, b, blocks, lam, step, tol, max_iter):
+def _fista(G, b, blocks, lam, step, tol):
     """Minimise (1/2) v'Gv - v'b + lam * sum of block 2-norms from v = 0.
 
     Accelerated proximal gradient with function-value restart: the momentum
@@ -371,7 +368,7 @@ def _fista(G, b, blocks, lam, step, tol, max_iter):
     y = phi.copy()
     t = 1.0
     obj = 0.0  # the objective at v = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _LASSO_MAX_ITER + 1):
         Gy = G @ y
         grad = Gy - b
         smooth_y = smooth(y, Gy)
@@ -402,20 +399,12 @@ def _fista(G, b, blocks, lam, step, tol, max_iter):
         if converged:
             return phi, n_iter
     raise ConvergenceError(
-        f"group-lasso solver did not converge in {max_iter} iterations "
+        f"group-lasso solver did not converge in {_LASSO_MAX_ITER} iterations "
         f"(last residual {float(np.max(np.abs(G @ phi - b))):.3g})"
     )
 
 
-def fit_group_lasso(
-    data,
-    family=Family.FULL,
-    lam=0.0,
-    max_iter=_LASSO_MAX_ITER,
-    tol=1e-9,
-    zero_edges=None,
-    moments=None,
-):
+def fit_group_lasso(data, family=Family.FULL, lam=0.0, tol=1e-9, zero_edges=None, moments=None):
     """Group-penalized score matching: adds lam * sum over edges of the
     coupling-block 2-norm (marginal blocks unpenalized).
 
@@ -430,7 +419,7 @@ def fit_group_lasso(
     d = moments.d
     family = Family(family)
     idx, G, b, blocks, step = _lasso_system(moments, family, zero_edges)
-    phi, n_iter = _fista(G, b, blocks, lam, step, tol, max_iter)
+    phi, n_iter = _fista(G, b, blocks, lam, step, tol)
     full = np.zeros(param_dim(d))
     full[idx] = phi
     params = TorusGraphParams(d=d, phi=full, family=family)
@@ -483,7 +472,7 @@ def _cross_validate(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_e
         train = _pool([fm for i, fm in enumerate(fold_moments) if i != f])
         idx, G, b, blocks, step = _lasso_system(train, family, zero_edges)
         for gi, lam in enumerate(lams):
-            phi[idx] = _fista(G, b, blocks, lam, step, tol, _LASSO_MAX_ITER)[0]
+            phi[idx] = _fista(G, b, blocks, lam, step, tol)[0]
             losses[gi, f] = sm_objective(phi, held)
     mean_loss = losses.mean(axis=1)
     best = int(np.argmin(mean_loss))

@@ -3,16 +3,16 @@
 The estimator solves an unbiased linear estimating equation, so sqrt(N) times
 the estimation error is asymptotically normal with the sandwich covariance
 Sigma = Gamma^-1 V Gamma^-1, where V is the second moment of the per-sample
-residual Gamma(x) phi - H(x), formed from the same derivative table as the
-moments: entry l of D(x)' phi is A_l phi[coords_l], mapped back by A_l onto
-coords_l. Sigma is never formed. With R the (N, |active|) residual rows on
-the family's active coordinates, Sigma = F'F for the factor
-F = R Gamma^-1 / sqrt(N), and a test reads only the block F_c'F_c of the
-coordinates c it tests (:class:`SandwichCov`). Quadratic forms of coefficient
-blocks against that covariance give chi-squared statistics with one degree of
-freedom per tested coordinate: 4 for a full coupling block, 2 for its
-rotational or reflectional half, and 2|E| or 4|E| for groups of edges.
-Multiple testing is corrected in one place, :func:`correct_pvalues`.
+residual Gamma(x) phi - H(x), formed in the moments' own walk over the data:
+entry l of D(x)' phi is A_l phi[coords_l], mapped back by A_l onto coords_l.
+Sigma is never formed. With R the (N, |active|) residual rows on the family's
+active coordinates, Sigma = F'F for the factor F = R Gamma^-1 / sqrt(N), and
+a test reads only the block F_c'F_c of the coordinates c it tests
+(:class:`SandwichCov`). Quadratic forms of coefficient blocks against that
+covariance give chi-squared statistics with one degree of freedom per tested
+coordinate: 4 for a full coupling block, 2 for its rotational or reflectional
+half, and 2|E| or 4|E| for groups of edges. Multiple testing is corrected in
+one place, :func:`correct_pvalues`.
 """
 
 from dataclasses import dataclass
@@ -23,15 +23,14 @@ import scipy.linalg
 from .circular import bessel_ratio, chi2_sf, fisher_combine, ks_two_sample, wrap_angle
 from .estimation import (
     FitResult,
+    ScoreMatchingMoments,
     _checked_cholesky,
     _cross_validate,
-    _h_rows,
-    _stat_chunks,
-    accumulate_moments,
+    _derivative_walk,
     fit_group_lasso,
 )
 from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
-from .model import Family, _derivative_table, coupling_slice, edge_list, param_dim
+from .model import Family, coupling_slice, edge_list, param_dim
 from .sampling import GibbsConfig, gibbs_sample
 
 MODE_FULL = "full"
@@ -49,10 +48,12 @@ class SandwichCov:
     ``factor`` is the (N, |active|) matrix F with Sigma = F'F on the family's
     active coordinates; ``position`` maps each of the 2d^2 coordinates to its
     column of F, or -1 where the family masks it (Sigma is zero there).
+    ``moments`` are the score-matching moments Gamma was taken from.
     """
 
     factor: np.ndarray
     position: np.ndarray
+    moments: ScoreMatchingMoments
 
     def block(self, coords):
         """Sigma restricted to ``coords`` (coordinates of the full layout)."""
@@ -71,7 +72,9 @@ def asymptotic_cov(data, params, moments=None):
     With residual rows r_n = Gamma(x_n) phi - H(x_n) on the active
     coordinates, V_hat = R'R / N and Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1
     = F'F for the factor F = R Gamma_hat^-1 / sqrt(N), which is all that is
-    formed: the active Gamma block is assembled from the moments' node blocks
+    formed. R comes from the moments' walk over the data, which also
+    accumulates the moments when none are passed. The active Gamma block is
+    assembled from the moments' node blocks
     (:meth:`ScoreMatchingMoments.gamma_block`) and factored in place, and the
     solve against R is written into R, so those two are the only large
     arrays. Tests read small blocks of Sigma through
@@ -83,30 +86,17 @@ def asymptotic_cov(data, params, moments=None):
     n, d = X.shape
     if d != params.d:
         raise DomainError(f"data dimension {d} does not match model dimension {params.d}")
-    if moments is None:
-        moments = accumulate_moments(X)
     m = param_dim(d)
     idx = np.nonzero(params.active)[0]
+    moments, R = _derivative_walk(X, params.phi, idx, moments)
     cho = _checked_cholesky(moments.gamma_block(idx), moments.n, m)
-    phi = params.phi
-    table = _derivative_table(d)
-    R = np.empty((n, idx.size))
-    start = 0
-    for S in _stat_chunks(X):
-        r = -_h_rows(S, d)
-        for coords, src, sign in zip(*table):
-            A = S[:, src] * sign
-            r[:, coords] += A * (A @ phi[coords])[:, None]
-        # the indices are in range; mode="raise" would write through a buffer
-        np.take(r, idx, axis=1, out=R[start : start + r.shape[0]], mode="clip")
-        start += r.shape[0]
     # R' is Fortran-ordered, so the solve overwrites R with R Gamma^-1
     scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
     R *= 1.0 / np.sqrt(n)
     R.flags.writeable = False
     position = -np.ones(m, dtype=int)
     position[idx] = np.arange(idx.size)
-    return SandwichCov(factor=R, position=position)
+    return SandwichCov(factor=R, position=position, moments=moments)
 
 
 @dataclass(frozen=True)

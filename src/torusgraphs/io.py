@@ -290,9 +290,10 @@ def load_experiment_config(path):
     """Read a benchmark configuration; returns (GeneratorSpec, settings dict).
 
     Unknown generator kinds, missing or unknown generator options and a
-    non-integer ``d`` are SchemaError; values out of range (d < 2, alpha
-    outside (0, 1)) are DomainError, as is a negative seed (raised by
-    ``draw_replicates``), all before any data is drawn.
+    non-integer ``d`` or Gibbs setting are SchemaError; values out of range
+    (d < 2, alpha outside (0, 1), burn_in < 0, thin < 1) are DomainError, as
+    is a negative seed (raised by ``draw_replicates``), all before any data is
+    drawn.
     """
     doc = _read_json(path)
     _check_version(doc)
@@ -309,6 +310,14 @@ def load_experiment_config(path):
         _require(options, "d", int)
     if "contam" in options:
         options["contam"] = tuple(options["contam"])
+    gibbs = options.get("gibbs", {})  # Gibbs settings of `random`, each optional
+    if not isinstance(gibbs, dict) or gibbs.keys() - {"burn_in", "thin"}:
+        raise SchemaError("generator option 'gibbs' must be an object with keys among "
+                          "['burn_in', 'thin']")
+    for key in gibbs:
+        _require(gibbs, key, int)
+    if gibbs.get("burn_in", 0) < 0 or gibbs.get("thin", 1) < 1:
+        raise DomainError(f"gibbs needs burn_in >= 0 and thin >= 1, got {gibbs!r}")
     spec = GeneratorSpec(kind=kind, options=options)
     settings = {
         "n_reps": _require(doc, "n_reps", int),

@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 
 from torusgraphs.circular import bessel_i, plv, rayleigh_statistic, rayleigh_test, wrap_angle
-from torusgraphs.estimation import fit_closed_form, gamma_H_of_sample, jacobian_D
+from torusgraphs.estimation import fit_closed_form
 from torusgraphs.inference import (
     asymptotic_cov,
     build_graph,
@@ -38,6 +38,7 @@ from torusgraphs.simulation import (
 )
 
 from conftest import finite_difference_jacobian
+from derivative_oracle import gamma_H_of_sample, jacobian_D
 from test_margins import bivar_marginal_oracle, trivar_marginal_oracle
 from test_sampling import conditional_slice_oracle
 

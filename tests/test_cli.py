@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommand wiring, file formats, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ class TestFitAndTest:
         g = load_graph(graph)
         assert all(t.df == 2 for t in g.tests)
         assert set(g.edges) == set(truth.edges)
+
+    def test_loaded_residual_on_active_set(self, tmp_path, capsys):
+        # a phasediff fit solves its equation on the active set only; `test`
+        # reports the residual there, not over the masked coordinates
+        X, _ = gen_chain(600, 5, 0.3, 1.0, 2.0, seed=1)
+        data, model = tmp_path / "x.csv", tmp_path / "m.json"
+        save_samples_csv(data, X)
+        assert main(["fit", str(data), "--family", "phasediff", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["test", str(data), "--model", str(model),
+                     "--out", str(tmp_path / "g.json")]) == 0
+        found = re.findall(r"estimating-equation residual (\S+)\)", capsys.readouterr().out)
+        assert len(found) == 1
+        assert float(found[0]) <= 1e-12
 
 
 class TestSample:
@@ -408,6 +423,24 @@ class TestExitCodes:
         cfg = _bench_config(tmp_path, "uniform-null", alpha=alpha)
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert draws == [0]
+
+    @pytest.mark.parametrize("gibbs,code,message", [
+        (5, 1, "option 'gibbs' must be an object"),
+        ({"burnin": 10}, 1, "option 'gibbs' must be an object"),
+        ({"burn_in": "x"}, 1, "field 'burn_in' has the wrong type"),
+        ({"thin": True}, 1, "field 'thin' has the wrong type"),
+        ({"thin": 0}, 2, "gibbs needs burn_in >= 0 and thin >= 1"),
+        ({"burn_in": -1, "thin": 2}, 2, "gibbs needs burn_in >= 0 and thin >= 1"),
+    ], ids=["int", "misspelt-key", "str-burn-in", "bool-thin", "thin-0", "negative-burn-in"])
+    def test_bad_gibbs_option(self, tmp_path, capsys, monkeypatch, gibbs, code, message):
+        draws = _count_generate(monkeypatch)
+        cfg = _bench_config(tmp_path, "random")
+        doc = json.loads(cfg.read_text())
+        doc["generator"]["gibbs"] = gibbs
+        cfg.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == code
+        assert message in capsys.readouterr().err
         assert draws == [0]
 
     def test_numerical_error_ill_conditioned_sandwich(self, tmp_path):

@@ -11,8 +11,6 @@ from torusgraphs.estimation import (
     accumulate_moments,
     fit_closed_form,
     fit_group_lasso,
-    gamma_H_of_sample,
-    jacobian_D,
     select_lambda_cv,
     sm_objective,
 )
@@ -30,6 +28,7 @@ from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
 from conftest import finite_difference_jacobian
+from derivative_oracle import gamma_H_of_sample, jacobian_D
 
 
 def _count_calls(monkeypatch, owner, name):

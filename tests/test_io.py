@@ -1,6 +1,7 @@
 """Tests for CSV ingestion and JSON persistence."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from torusgraphs.io import (
     save_samples_csv,
 )
 from torusgraphs.model import TorusGraphParams, param_dim
+from torusgraphs.simulation import GeneratorSpec
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 class TestLoadCsv:
@@ -205,6 +209,28 @@ class TestGroupsAndConfig:
         f.write_text("not json at all{")
         with pytest.raises(SchemaError):
             load_experiment_config(f)
+
+    def test_gibbs_option_accepted(self, tmp_path):
+        f = tmp_path / "exp.json"
+        f.write_text(json.dumps({
+            "schema_version": 1,
+            "generator": {"kind": "random", "d": 3, "edge_density": 0.5,
+                          "gibbs": {"burn_in": 0, "thin": 1}},
+            "n_reps": 1, "N": 10, "alpha": 0.1, "correction": "none", "seed": 0,
+        }))
+        spec, _ = load_experiment_config(f)
+        assert spec.options["gibbs"] == {"burn_in": 0, "thin": 1}
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path, monkeypatch):
+        # every config in configs/ passes the loader's checks; nothing is drawn
+        def refuse(self, N, seed):
+            raise AssertionError("a data set was drawn")
+
+        monkeypatch.setattr(GeneratorSpec, "generate", refuse)
+        spec, settings = load_experiment_config(path)
+        assert spec.kind in GeneratorSpec._KINDS
+        assert settings["n_reps"] >= 1 and settings["N"] >= 1
 
 
 class TestDataset:

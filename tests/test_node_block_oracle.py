@@ -26,9 +26,7 @@ from torusgraphs.estimation import (
     ScoreMatchingMoments,
     _active_indices,
     _checked_cholesky,
-    _h_rows,
     _pairwise_reduce,
-    _stat_chunks,
     fit_group_lasso,
     select_lambda_cv,
     sm_objective,
@@ -39,6 +37,8 @@ from torusgraphs.io import save_samples_csv
 from torusgraphs.model import Family, TorusGraphParams, _derivative_table, edge_list, param_dim
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
+
+from derivative_oracle import _h_rows, _stat_chunks
 
 ATOL = 1e-12
 

@@ -1,0 +1,234 @@
+"""One derivative walk against the two passes it replaces.
+
+``accumulate_moments`` and ``asymptotic_cov`` below are the package's former
+routines, kept verbatim as the oracle except that the covariance record
+carries the moments it was solved with. The oracle reads the data twice, once
+for the Gram blocks and once for the sandwich residual rows, and recomputes
+the statistics and the derivative rows on the second pass. The package reads
+each 256-row chunk once (``estimation._derivative_walk``); the moments, the
+factor and the position map must equal the oracle's bit for bit, and the CLI
+`test` and `region-test` must compute the statistics once per data row.
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torusgraphs import estimation, inference
+from torusgraphs.cli import main
+from torusgraphs.estimation import (
+    ScoreMatchingMoments,
+    _checked_cholesky,
+    _pairwise_reduce,
+    fit_closed_form,
+)
+from torusgraphs.exceptions import DomainError
+from torusgraphs.inference import SandwichCov
+from torusgraphs.io import save_model, save_samples_csv
+from torusgraphs.model import Family, TorusGraphParams, _derivative_table, edge_list, param_dim
+from torusgraphs.sampling import GibbsConfig, gibbs_sample
+from torusgraphs.simulation import gen_chain
+
+from derivative_oracle import _h_rows, _stat_chunks
+
+
+def accumulate_moments(data):
+    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix.
+
+    Per chunk of rows, each node's Gram block A_l' A_l is formed; the chunks'
+    (d, 4d - 2, 4d - 2) block stacks are combined by a pairwise reduction as
+    they are made, so the result is deterministic and order-stable to ~1e-10
+    even for large N*d. No 2d^2-square array is made.
+    """
+    X = np.atleast_2d(np.asarray(data, dtype=float))
+    n, d = X.shape
+    if n < 1:
+        raise DomainError("need at least one sample")
+    _, src, sign = _derivative_table(d)
+    h_parts = []
+
+    def grams():
+        for S in _stat_chunks(X):
+            g = np.empty((d, src.shape[1], src.shape[1]))
+            for l in range(d):
+                A = S[:, src[l]]
+                A *= sign[l]  # dS[:, coords_l] / dx_l, all rows of the chunk
+                g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
+            h = S.sum(axis=0)
+            h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
+            h_parts.append(h)
+            del S, A
+            yield g
+            del g  # no chunk array stays alive while the next chunk is made
+
+    blocks = _pairwise_reduce(grams())
+    blocks /= n
+    h = _pairwise_reduce(h_parts) / n
+    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
+
+
+def asymptotic_cov(data, params, moments=None):
+    """Sandwich covariance of sqrt(N)(phi_hat - phi) on the family's active set.
+
+    With residual rows r_n = Gamma(x_n) phi - H(x_n) on the active
+    coordinates, V_hat = R'R / N and Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1
+    = F'F for the factor F = R Gamma_hat^-1 / sqrt(N), which is all that is
+    formed: the active Gamma block is assembled from the moments' node blocks
+    (:meth:`ScoreMatchingMoments.gamma_block`) and factored in place, and the
+    solve against R is written into R, so those two are the only large
+    arrays. Tests read small blocks of Sigma through
+    :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
+    coefficient vector. Raises SingularMomentsError under the same Cholesky
+    and condition guard as the closed-form fit.
+    """
+    X = np.atleast_2d(np.asarray(data, dtype=float))
+    n, d = X.shape
+    if d != params.d:
+        raise DomainError(f"data dimension {d} does not match model dimension {params.d}")
+    if moments is None:
+        moments = accumulate_moments(X)
+    m = param_dim(d)
+    idx = np.nonzero(params.active)[0]
+    cho = _checked_cholesky(moments.gamma_block(idx), moments.n, m)
+    phi = params.phi
+    table = _derivative_table(d)
+    R = np.empty((n, idx.size))
+    start = 0
+    for S in _stat_chunks(X):
+        r = -_h_rows(S, d)
+        for coords, src, sign in zip(*table):
+            A = S[:, src] * sign
+            r[:, coords] += A * (A @ phi[coords])[:, None]
+        # the indices are in range; mode="raise" would write through a buffer
+        np.take(r, idx, axis=1, out=R[start : start + r.shape[0]], mode="clip")
+        start += r.shape[0]
+    # R' is Fortran-ordered, so the solve overwrites R with R Gamma^-1
+    scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
+    R *= 1.0 / np.sqrt(n)
+    R.flags.writeable = False
+    position = -np.ones(m, dtype=int)
+    position[idx] = np.arange(idx.size)
+    return SandwichCov(factor=R, position=position, moments=moments)
+
+
+def coupled_sample(d, n, seed):
+    """n Gibbs draws from a model with O(1) marginal and coupling blocks."""
+    rng = np.random.default_rng(seed)
+    params = TorusGraphParams(d=d, phi=rng.normal(scale=0.5, size=param_dim(d)))
+    return gibbs_sample(params, GibbsConfig(n_samples=n, burn_in=100, seed=seed))
+
+
+def assert_moments_equal(a, b):
+    assert a.n == b.n
+    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a.h_hat, b.h_hat)
+
+
+def assert_cov_equal(X, fit, given_moments):
+    """The package's walk and the two-pass oracle agree exactly, with the
+    fit's moments passed in or accumulated on the way."""
+    moments = fit.moments if given_moments else None
+    cov = inference.asymptotic_cov(X, fit.params, moments=moments)
+    ref = asymptotic_cov(X, fit.params, moments=moments)
+    assert np.array_equal(cov.factor, ref.factor)
+    assert np.array_equal(cov.position, ref.position)
+    assert_moments_equal(cov.moments, ref.moments)
+    assert_moments_equal(cov.moments, fit.moments)
+    if given_moments:
+        assert cov.moments is fit.moments
+    assert not cov.factor.flags.writeable
+
+
+@pytest.mark.parametrize("given_moments", [False, True], ids=["walk-moments", "given-moments"])
+@pytest.mark.parametrize(
+    "d, family, zeroed",
+    [(d, f, z) for d in (1, 3, 8) for f in Family for z in ((False, True) if d > 1 else (False,))],
+)
+def test_cov_matches_two_pass(d, family, zeroed, given_moments):
+    X = coupled_sample(d, max(300, 5 * param_dim(d)), seed=500 + d)
+    fit = fit_closed_form(X, family=family, zero_edges=[(0, d - 1)] if zeroed else None)
+    assert_moments_equal(estimation.accumulate_moments(X), accumulate_moments(X))
+    assert_cov_equal(X, fit, given_moments)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_cov_matches_two_pass_property(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    n = data.draw(st.integers(5 * param_dim(d), 600), label="n")
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    edges = edge_list(d)
+    zero_edges = []
+    if edges:
+        zero_edges = data.draw(st.lists(st.sampled_from(edges), unique=True), label="zero_edges")
+    given_moments = data.draw(st.booleans(), label="given_moments")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    X = coupled_sample(d, n, seed)
+    fit = fit_closed_form(X, family=family, zero_edges=zero_edges or None)
+    assert_cov_equal(X, fit, given_moments)
+
+
+def test_empty_data_rejected():
+    params = TorusGraphParams(d=2, phi=np.zeros(8))
+    moments = estimation.accumulate_moments(coupled_sample(2, 50, seed=510))
+    for given in (None, moments):
+        with pytest.raises(DomainError):
+            inference.asymptotic_cov(np.zeros((0, 2)), params, moments=given)
+
+
+def _count_stats_and_refuse_moments(monkeypatch):
+    """Count every call of suff_stats_batch in the package and make
+    accumulate_moments raise, wherever either name is bound."""
+    calls = [0]
+    inner = estimation.suff_stats_batch
+
+    def counted(X):
+        calls[0] += 1
+        return inner(X)
+
+    def refuse(data):
+        raise AssertionError("accumulate_moments was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "torusgraphs" or name.startswith("torusgraphs."):
+            if hasattr(module, "suff_stats_batch"):
+                monkeypatch.setattr(module, "suff_stats_batch", counted)
+            if hasattr(module, "accumulate_moments"):
+                monkeypatch.setattr(module, "accumulate_moments", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("n", [255, 600])
+@pytest.mark.parametrize("command", ["test", "region-test"])
+def test_cli_reads_statistics_once(tmp_path, monkeypatch, command, n):
+    X, _ = gen_chain(N=n, d=4, xi=np.pi / 100, kappa1=0.01, kappa_eps=40.0, seed=520)
+    data, model, groups = tmp_path / "x.csv", tmp_path / "m.json", tmp_path / "groups.json"
+    save_samples_csv(data, X)
+    save_model(model, fit_closed_form(X).params)
+    groups.write_text(json.dumps({"schema_version": 1, "groups": {"a": [0, 1], "b": [2, 3]}}))
+    calls = _count_stats_and_refuse_moments(monkeypatch)
+    argv = [command, str(data), "--model", str(model)]
+    if command == "region-test":
+        argv += ["--groups", str(groups)]
+    else:
+        argv += ["--out", str(tmp_path / "g.json")]
+    assert main(argv) == 0
+    assert calls[0] == math.ceil(n / estimation._CHUNK)
+
+
+def test_region_test_checks_groups_before_the_walk(tmp_path, monkeypatch, capsys):
+    X, _ = gen_chain(N=300, d=4, xi=np.pi / 100, kappa1=0.01, kappa_eps=40.0, seed=521)
+    data, model, groups = tmp_path / "x.csv", tmp_path / "m.json", tmp_path / "groups.json"
+    save_samples_csv(data, X)
+    save_model(model, fit_closed_form(X).params)
+    groups.write_text(json.dumps({"schema_version": 1, "groups": {"a": [0], "b": [7]}}))
+    calls = _count_stats_and_refuse_moments(monkeypatch)
+    assert main(["region-test", str(data), "--model", str(model), "--groups", str(groups)]) == 2
+    assert "lists channel 7" in capsys.readouterr().err
+    assert calls[0] == 0
