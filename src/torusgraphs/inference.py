@@ -30,7 +30,7 @@ from .estimation import (
     fit_group_lasso,
 )
 from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
-from .model import Family, coupling_slice, edge_list, param_dim
+from .model import Family, TorusGraphParams, coupling_slice, edge_list, param_dim
 from .sampling import GibbsConfig, gibbs_sample
 
 MODE_FULL = "full"
@@ -280,7 +280,8 @@ def goodness_of_fit(data, fit, n_synth=2000, seed=0):
 
     Per channel, a two-sample KS on the angles; per pair, KS on the wrapped
     differences and wrapped sums (all mapped to [0, 2pi) with origin 0); the
-    three groups are each combined with Fisher's method.
+    three groups are each combined with Fisher's method. ``fit`` is a
+    FitResult or the TorusGraphParams to check; only the parameters are read.
 
     Returns
     -------
@@ -288,11 +289,12 @@ def goodness_of_fit(data, fit, n_synth=2000, seed=0):
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
-    if d != fit.params.d:
+    params = fit if isinstance(fit, TorusGraphParams) else fit.params
+    if d != params.d:
         raise DomainError("data dimension does not match the fit")
     if n_synth < 100:
         raise DomainError("need at least 100 synthetic draws")
-    synth = gibbs_sample(fit.params, GibbsConfig(n_samples=n_synth, burn_in=500, seed=seed))
+    synth = gibbs_sample(params, GibbsConfig(n_samples=n_synth, burn_in=500, seed=seed))
     p_marginal = fisher_combine(
         [ks_two_sample(wrap_angle(X[:, j]), synth[:, j]) for j in range(d)]
     )

@@ -310,15 +310,7 @@ def load_experiment_config(path):
         _require(options, "d", int)
     if "contam" in options:
         options["contam"] = tuple(options["contam"])
-    gibbs = options.get("gibbs", {})  # Gibbs settings of `random`, each optional
-    if not isinstance(gibbs, dict) or gibbs.keys() - {"burn_in", "thin"}:
-        raise SchemaError("generator option 'gibbs' must be an object with keys among "
-                          "['burn_in', 'thin']")
-    for key in gibbs:
-        _require(gibbs, key, int)
-    if gibbs.get("burn_in", 0) < 0 or gibbs.get("thin", 1) < 1:
-        raise DomainError(f"gibbs needs burn_in >= 0 and thin >= 1, got {gibbs!r}")
-    spec = GeneratorSpec(kind=kind, options=options)
+    spec = GeneratorSpec(kind=kind, options=options)  # checks d and the Gibbs settings
     settings = {
         "n_reps": _require(doc, "n_reps", int),
         "N": _require(doc, "N", int),

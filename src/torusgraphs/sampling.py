@@ -115,8 +115,10 @@ def gibbs_sample(params, cfg):
     Single-site updates mix the collective rotation slowly when coupling
     norms are very large (each conditional pins a coordinate to its
     neighbors, so the global phase performs a small-step random walk);
-    increase burn_in/thin, or pool several independently seeded chains, when
-    block norms are far above the O(1) regime.
+    increase burn_in/thin, or pool several chains, when block norms are far
+    above the O(1) regime. :func:`gibbs_sample_chains` runs such chains in
+    one sweep loop; this one-chain loop stays scalar because one chain
+    through numpy array calls is slower.
     """
     if not isinstance(params, TorusGraphParams):
         raise DomainError("params must be a TorusGraphParams")
@@ -153,5 +155,64 @@ def gibbs_sample(params, cfg):
         sweep += 1
         if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
             out[kept] = x
+            kept += 1
+    return wrap_angle(out)
+
+
+def _chain_conditionals(weights, bias, cs):
+    """Von Mises (mean, concentration) of one node in every chain.
+
+    ``weights`` (C, 2, 2d) holds each chain's rows (cx_c | cx_s) and
+    (cy_c | cy_s) for the node, ``bias`` (C, 2) its (phi_k1, phi_k2), and
+    ``cs`` (C, 2d) each chain's state as (cos x | sin x).
+    """
+    b = np.matmul(weights, cs[:, :, None])[:, :, 0] + bias
+    return np.arctan2(b[:, 1], b[:, 0]), np.hypot(b[:, 0], b[:, 1])
+
+
+def gibbs_sample_chains(params_list, cfg):
+    """Systematic-scan Gibbs sampler for C chains at once; returns a
+    (C, n_samples, d) angle array, chain c drawn from ``params_list[c]``.
+
+    Every chain follows the sweep, burn-in and thinning schedule of
+    :func:`gibbs_sample` from its own uniform random start; one node update
+    draws that node in all chains with one array call on a single generator
+    seeded by ``cfg.seed``. The chains share that stream, so a chain's draws
+    depend on the whole list, and they differ from :func:`gibbs_sample` run
+    on the same parameters and seed.
+    """
+    if not params_list:
+        raise DomainError("need at least one parameter set")
+    if not all(isinstance(p, TorusGraphParams) for p in params_list):
+        raise DomainError("params must be TorusGraphParams")
+    d = params_list[0].d
+    if any(p.d != d for p in params_list):
+        raise DomainError(f"all chains need the same dimension, got {[p.d for p in params_list]}")
+    if not (isinstance(cfg.init, str) and cfg.init == UNIFORM_RANDOM):
+        raise DomainError("multi-chain sampling starts uniformly at random; init is not supported")
+    C = len(params_list)
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.uniform(0.0, 2.0 * np.pi, size=(C, d))
+    # weights[k, c] = node k's (2, 2d) coefficient rows in chain c
+    weights = np.empty((d, C, 2, 2 * d))
+    bias = np.empty((d, C, 2))
+    for c, params in enumerate(params_list):
+        cx_c, cx_s, cy_c, cy_s = _conditional_coefficients(params)
+        weights[:, c, 0] = np.hstack([cx_c, cx_s])
+        weights[:, c, 1] = np.hstack([cy_c, cy_s])
+        bias[:, c] = params.phi[: 2 * d].reshape(d, 2)
+    cs = np.hstack([np.cos(x), np.sin(x)])
+    out = np.empty((C, cfg.n_samples, d))
+    kept = 0
+    total = cfg.burn_in + cfg.n_samples * cfg.thin
+    vonmises = rng.vonmises
+    for sweep in range(1, total + 1):
+        for k in range(d):
+            xk = vonmises(*_chain_conditionals(weights[k], bias[k], cs))
+            x[:, k] = xk
+            cs[:, k] = np.cos(xk)
+            cs[:, d + k] = np.sin(xk)
+        if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
+            out[:, kept] = x
             kept += 1
     return wrap_angle(out)

@@ -17,10 +17,10 @@ import numpy as np
 
 from .circular import rayleigh_statistic, rayleigh_test, von_mises_sample, wrap_angle
 from .estimation import fit_closed_form
-from .exceptions import DomainError, add_context
+from .exceptions import DomainError, SchemaError, add_context
 from .inference import asymptotic_cov, correct_pvalues, edge_test
 from .model import Family, TorusGraphParams, coupling_slice, edge_list, param_dim
-from .sampling import GibbsConfig, gibbs_sample
+from .sampling import GibbsConfig, gibbs_sample, gibbs_sample_chains
 
 FPR_GRID_SIZE = 512
 
@@ -182,9 +182,12 @@ class GeneratorSpec:
     """Declarative generator description used by the benchmark harness.
 
     kind: one of "chain", "indirect-triple", "uniform-null", "random".
-    options: keyword arguments of the matching gen_* function (minus N, seed).
-    A kind with a dimension option ``d`` needs an integer d >= 2, so that
-    there is at least one pair to score.
+    options: keyword arguments of the matching gen_* function (minus N, seed),
+    plus for "random" an optional ``gibbs`` object with integer ``burn_in``
+    (>= 0, default 500) and ``thin`` (>= 1, default 2). A kind with a
+    dimension option ``d`` needs an integer d >= 2, so that there is at least
+    one pair to score. A malformed ``gibbs`` is SchemaError, an out-of-range
+    one DomainError.
     """
 
     kind: str
@@ -195,6 +198,15 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}; expected one of {self._KINDS}")
+        gibbs = self.options.get("gibbs", {}) if self.kind == "random" else {}
+        if not isinstance(gibbs, dict) or gibbs.keys() - {"burn_in", "thin"}:
+            raise SchemaError("generator option 'gibbs' must be an object with keys among "
+                              "['burn_in', 'thin']")
+        for key, value in gibbs.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SchemaError(f"field {key!r} has the wrong type")
+        if gibbs.get("burn_in", 0) < 0 or gibbs.get("thin", 1) < 1:
+            raise DomainError(f"gibbs needs burn_in >= 0 and thin >= 1, got {gibbs!r}")
         if "d" in self.options:
             d = self.options["d"]
             if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
@@ -202,18 +214,21 @@ class GeneratorSpec:
 
     def generate(self, N, seed):
         """Produce (angles, truth, true_params-or-None) for one replicate."""
-        opts = dict(self.options)
         if self.kind != "random":
-            return (*_generator(self.kind)(N=N, seed=seed, **opts), None)
-        gibbs = opts.pop("gibbs", {})
-        params, truth = gen_random_torus_graph(seed=seed, **opts)
-        cfg = GibbsConfig(
-            n_samples=N,
-            burn_in=int(gibbs.get("burn_in", 500)),
-            thin=int(gibbs.get("thin", 2)),
-            seed=seed,
-        )
-        return gibbs_sample(params, cfg), truth, params
+            return (*_generator(self.kind)(N=N, seed=seed, **self.options), None)
+        params, truth = self._random_graph(seed)
+        return gibbs_sample(params, self._gibbs_config(N, seed)), truth, params
+
+    def _random_graph(self, seed):
+        """(params, truth) of the "random" kind's coupling model for ``seed``."""
+        opts = {k: v for k, v in self.options.items() if k != "gibbs"}
+        return gen_random_torus_graph(seed=seed, **opts)
+
+    def _gibbs_config(self, N, seed):
+        """The "random" kind's Gibbs settings for N kept draws from ``seed``."""
+        gibbs = self.options.get("gibbs", {})
+        return GibbsConfig(n_samples=N, burn_in=int(gibbs.get("burn_in", 500)),
+                           thin=int(gibbs.get("thin", 2)), seed=seed)
 
 
 class Replicate(NamedTuple):
@@ -260,22 +275,40 @@ def _decision_rates(pvals, labels, alpha, correction):
     return fpr, fnr
 
 
+def _seed_of(seed_sequence):
+    return int(seed_sequence.generate_state(1)[0])
+
+
 def draw_replicates(gen, n_reps, N, seed=0):
     """Draw ``n_reps`` data sets of ``N`` trials from ``gen``, one per seed
-    spawned from ``seed`` (>= 0); every method scores this same list."""
+    spawned from ``seed`` (>= 0); every method scores this same list.
+
+    Replicate i's seed comes from child i of ``SeedSequence(seed).spawn(n_reps
+    + 1)``. Most generators draw each replicate with ``gen.generate(N,
+    seed_i)``. A "random" GeneratorSpec builds each replicate's graph from its
+    seed and draws all replicates' angles in one multi-chain Gibbs run
+    seeded by child n_reps, which no replicate uses: a replicate's seed then
+    fixes its graph, and its angles depend on the whole draw.
+    """
     if n_reps < 1 or N < 1:
         raise DomainError(f"need at least one replicate and one trial, got n_reps={n_reps}, N={N}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_reps)]
-    replicates = []
+    children = np.random.SeedSequence(seed).spawn(n_reps + 1)
+    seeds = [_seed_of(s) for s in children[:n_reps]]
+    batched = isinstance(gen, GeneratorSpec) and gen.kind == "random"
+    drawn = []
     for rep, rep_seed in enumerate(seeds):
         try:
-            replicates.append(Replicate(rep_seed, *gen.generate(N, rep_seed)))
+            drawn.append(gen._random_graph(rep_seed) if batched else gen.generate(N, rep_seed))
         except Exception as exc:
             add_context(exc, f"replicate {rep} (seed {rep_seed})")
             raise
-    return replicates
+    if not batched:
+        return [Replicate(s, *d) for s, d in zip(seeds, drawn)]
+    params = [p for p, _ in drawn]
+    angles = gibbs_sample_chains(params, gen._gibbs_config(N, _seed_of(children[n_reps])))
+    return [Replicate(s, X, truth, p) for s, X, (p, truth) in zip(seeds, angles, drawn)]
 
 
 def _experiment(replicates, score, alpha, correction):

@@ -180,6 +180,26 @@ class TestRegionAndGof:
         ]) == 0
         assert "combined p" in capsys.readouterr().out
 
+    def test_gof_computes_no_statistics(self, tmp_path, chain_csv, monkeypatch):
+        # the battery reads only the model's parameters; no moments are taken
+        import torusgraphs.estimation
+        import torusgraphs.model
+
+        data, _ = chain_csv
+        model = tmp_path / "m.json"
+        assert main(["fit", str(data), "--out", str(model)]) == 0
+        calls = []
+        inner = torusgraphs.model.suff_stats_batch
+
+        def counted(x):
+            calls.append(len(x))
+            return inner(x)
+
+        for module in (torusgraphs.model, torusgraphs.estimation):
+            monkeypatch.setattr(module, "suff_stats_batch", counted)
+        assert main(["gof", str(data), "--model", str(model), "--n-synth", "200"]) == 0
+        assert calls == []
+
 
 class TestBench:
     def test_chain_bench(self, tmp_path):
@@ -226,19 +246,32 @@ class TestBench:
         assert len(calls["recovery"][0].fpr_reps) == 3
         assert calls["generate"] == 3
 
+    def test_random_replicates_drawn_in_one_sampler_call(self, tmp_path, monkeypatch):
+        draws = _count_generate(monkeypatch)
+        cfg = _bench_config(tmp_path, "random", n_reps=3, methods=["torus", "plv"])
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert draws == [1]
+
 
 def _count_generate(monkeypatch):
-    """Count the data sets drawn through GeneratorSpec.generate."""
+    """Count the draws: GeneratorSpec.generate calls plus multi-chain
+    sampler calls (which draw every `random` replicate at once)."""
+    import torusgraphs.simulation
     from torusgraphs.simulation import GeneratorSpec
 
     calls = [0]
-    inner = GeneratorSpec.generate
+    generate, chains = GeneratorSpec.generate, torusgraphs.simulation.gibbs_sample_chains
 
-    def counted(self, N, seed):
+    def counted_generate(self, N, seed):
         calls[0] += 1
-        return inner(self, N, seed)
+        return generate(self, N, seed)
 
-    monkeypatch.setattr(GeneratorSpec, "generate", counted)
+    def counted_chains(params_list, cfg):
+        calls[0] += 1
+        return chains(params_list, cfg)
+
+    monkeypatch.setattr(GeneratorSpec, "generate", counted_generate)
+    monkeypatch.setattr(torusgraphs.simulation, "gibbs_sample_chains", counted_chains)
     return calls
 
 

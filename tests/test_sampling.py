@@ -2,17 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import torusgraphs.sampling
 from torusgraphs.circular import (
     bessel_i,
     chi2_sf,
     circular_mean_resultant,
     plv,
     rayleigh_test,
+    wrap_angle,
 )
 from torusgraphs.exceptions import DomainError
 from torusgraphs.model import TorusGraphParams, coupling_slice, param_dim, suff_stats_batch
-from torusgraphs.sampling import GibbsConfig, conditional_von_mises, gibbs_sample
+from torusgraphs.sampling import (
+    GibbsConfig,
+    conditional_von_mises,
+    gibbs_sample,
+    gibbs_sample_chains,
+)
 
 from conftest import bessel_series_oracle
 
@@ -32,6 +41,29 @@ def conditional_slice_oracle(params, k, x_rest, grid):
     log_q = suff_stats_batch(X) @ params.phi
     q = np.exp(log_q - log_q.max())
     return q / (q.sum() * (grid[1] - grid[0]))
+
+
+def bivariate_params(marginal0, coupling):
+    phi = np.zeros(8)
+    phi[0:2] = marginal0
+    phi[coupling_slice(2, 0, 1)] = coupling
+    return TorusGraphParams(d=2, phi=phi)
+
+
+def bivariate_chi2_p(params, draws, G=64):
+    """Pearson chi-squared p-value of (n, 2) draws against the model density
+    on a G x G grid of cells."""
+    n = draws.shape[0]
+    edges = np.linspace(0, 2 * np.pi, G + 1)
+    observed, _, _ = np.histogram2d(draws[:, 0], draws[:, 1], bins=[edges, edges])
+    centers = (edges[:-1] + edges[1:]) / 2
+    XX, YY = np.meshgrid(centers, centers, indexing="ij")
+    pts = np.column_stack([XX.ravel(), YY.ravel()])
+    log_q = suff_stats_batch(pts) @ params.phi
+    q = np.exp(log_q - log_q.max())
+    expected = (q / q.sum() * n).reshape(G, G)
+    x2 = float(np.sum((observed - expected) ** 2 / expected))
+    return chi2_sf(x2, G * G - 1)
 
 
 class TestConditionalVonMises:
@@ -120,27 +152,122 @@ class TestGibbsSampler:
     def test_detailed_balance_smoke(self):
         # bivariate model, 64x64 discretization: empirical histogram of Gibbs
         # draws vs grid-normalized density, Pearson chi-squared GOF
-        phi = np.zeros(8)
-        phi[0:2] = [0.4, 0.2]
-        phi[coupling_slice(2, 0, 1)] = [1.0, 0.5, 0.2, -0.3]
-        params = TorusGraphParams(d=2, phi=phi)
-        n = 5 * 10**5
-        draws = gibbs_sample(params, GibbsConfig(n_samples=n, burn_in=200, thin=2, seed=21))
-        G = 64
-        edges = np.linspace(0, 2 * np.pi, G + 1)
-        observed, _, _ = np.histogram2d(draws[:, 0], draws[:, 1], bins=[edges, edges])
-        centers = (edges[:-1] + edges[1:]) / 2
-        XX, YY = np.meshgrid(centers, centers, indexing="ij")
-        pts = np.column_stack([XX.ravel(), YY.ravel()])
-        log_q = suff_stats_batch(pts) @ params.phi
-        q = np.exp(log_q - log_q.max())
-        expected = (q / q.sum() * n).reshape(G, G)
-        x2 = float(np.sum((observed - expected) ** 2 / expected))
-        p = chi2_sf(x2, G * G - 1)
-        assert p > 0.001
+        params = bivariate_params([0.4, 0.2], [1.0, 0.5, 0.2, -0.3])
+        draws = gibbs_sample(params, GibbsConfig(n_samples=5 * 10**5, burn_in=200, thin=2,
+                                                 seed=21))
+        assert bivariate_chi2_p(params, draws) > 0.001
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             GibbsConfig(n_samples=0)
         with pytest.raises(DomainError):
             GibbsConfig(n_samples=10, thin=0)
+
+
+def record_updates(monkeypatch):
+    """Record (state, mean, amplitude) of every batched node update."""
+    updates = []
+    inner = torusgraphs.sampling._chain_conditionals
+
+    def recorded(weights, bias, cs):
+        mean, amp = inner(weights, bias, cs)
+        updates.append((cs.copy(), mean, amp))
+        return mean, amp
+
+    monkeypatch.setattr(torusgraphs.sampling, "_chain_conditionals", recorded)
+    return updates
+
+
+def assert_updates_match_oracle(updates, params_list):
+    """Every recorded update of node k = (call index mod d) gives each chain
+    the amplitude and wrapped mean of conditional_von_mises at that state."""
+    d = params_list[0].d
+    assert len(updates) % d == 0
+    for i, (cs, mean, amp) in enumerate(updates):
+        k = i % d
+        x = np.arctan2(cs[:, d:], cs[:, :d])
+        for c, params in enumerate(params_list):
+            A, delta = conditional_von_mises(params, k, np.delete(x[c], k))
+            assert abs(amp[c] - A) <= 1e-12
+            if A > 0:
+                gap = abs(wrap_angle(mean[c]) - delta)
+                assert min(gap, 2 * np.pi - gap) <= 1e-12
+
+
+class TestGibbsSampleChains:
+    def test_updates_match_conditional_oracle(self, monkeypatch):
+        # chains with different parameters, one with all-zero parameters
+        rng = np.random.default_rng(31)
+        params_list = [random_params(4, rng, scale=s) for s in (0.5, 1.0, 3.0)]
+        params_list.append(TorusGraphParams(d=4, phi=np.zeros(param_dim(4))))
+        updates = record_updates(monkeypatch)
+        gibbs_sample_chains(params_list, GibbsConfig(n_samples=3, burn_in=2, thin=2, seed=5))
+        assert len(updates) == 4 * (2 + 3 * 2)
+        assert_updates_match_oracle(updates, params_list)
+
+    def test_detailed_balance_pooled_over_chains(self):
+        # two bivariate models on alternating chains; each pool of draws
+        # against its own grid-normalized density
+        models = [bivariate_params([0.4, 0.2], [1.0, 0.5, 0.2, -0.3]),
+                  bivariate_params([-0.3, 0.6], [-0.8, 0.1, 0.6, 0.4])]
+        C = 20
+        draws = gibbs_sample_chains([models[c % 2] for c in range(C)],
+                                    GibbsConfig(n_samples=25000, burn_in=200, thin=2, seed=22))
+        for m, params in enumerate(models):
+            assert bivariate_chi2_p(params, draws[m::2].reshape(-1, 2)) > 0.001
+
+    def test_zero_couplings_uniform_and_independent(self):
+        # Rayleigh tests of each margin and of each chain pair's node-0
+        # differences and sums, Bonferroni over all of them at 0.001
+        C, d = 8, 3
+        params = TorusGraphParams(d=d, phi=np.zeros(param_dim(d)))
+        draws = gibbs_sample_chains([params] * C, GibbsConfig(n_samples=2000, burn_in=20,
+                                                              seed=23))
+        pvals = [rayleigh_test(draws[c, :, j]) for c in range(C) for j in range(d)]
+        for a in range(C):
+            for b in range(a + 1, C):
+                pvals.append(rayleigh_test(wrap_angle(draws[a, :, 0] - draws[b, :, 0])))
+                pvals.append(rayleigh_test(wrap_angle(draws[a, :, 0] + draws[b, :, 0])))
+        assert min(pvals) > 0.001 / len(pvals)
+
+    def test_seed_determinism(self):
+        rng = np.random.default_rng(24)
+        params_list = [random_params(3, rng) for _ in range(4)]
+        cfg = GibbsConfig(n_samples=50, burn_in=10, thin=3, seed=7)
+        a = gibbs_sample_chains(params_list, cfg)
+        np.testing.assert_array_equal(a, gibbs_sample_chains(params_list, cfg))
+        other = GibbsConfig(n_samples=50, burn_in=10, thin=3, seed=8)
+        assert not np.array_equal(a, gibbs_sample_chains(params_list, other))
+
+    def test_domain_errors(self):
+        cfg = GibbsConfig(n_samples=5, burn_in=0)
+        p2 = TorusGraphParams(d=2, phi=np.zeros(param_dim(2)))
+        p3 = TorusGraphParams(d=3, phi=np.zeros(param_dim(3)))
+        with pytest.raises(DomainError, match="at least one parameter set"):
+            gibbs_sample_chains([], cfg)
+        with pytest.raises(DomainError, match="same dimension"):
+            gibbs_sample_chains([p2, p3], cfg)
+        with pytest.raises(DomainError, match="init"):
+            gibbs_sample_chains([p2], GibbsConfig(n_samples=5, init=np.array([0.1, 0.2])))
+        with pytest.raises(DomainError):
+            gibbs_sample_chains([p2, np.zeros(8)], cfg)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_chains_shape_range_and_updates_property(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    C = data.draw(st.integers(1, 8), label="C")
+    n = data.draw(st.integers(1, 4), label="n_samples")
+    thin = data.draw(st.integers(1, 2), label="thin")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    params_list = [random_params(d, rng, scale=rng.uniform(0.1, 4.0)) for _ in range(C)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        updates = record_updates(monkeypatch)
+        draws = gibbs_sample_chains(params_list, GibbsConfig(n_samples=n, burn_in=1, thin=thin,
+                                                             seed=seed))
+    assert draws.shape == (C, n, d)
+    assert np.all((draws >= 0) & (draws < 2 * np.pi))
+    assert len(updates) == d * (1 + n * thin)
+    assert_updates_match_oracle(updates, params_list)

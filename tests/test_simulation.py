@@ -6,7 +6,7 @@ import pytest
 import torusgraphs.inference
 import torusgraphs.simulation
 from torusgraphs.circular import plv, rayleigh_test
-from torusgraphs.exceptions import DomainError, ParseError
+from torusgraphs.exceptions import DomainError, ParseError, SchemaError
 from torusgraphs.inference import bootstrap_null_test
 from torusgraphs.model import Family, apply_family, coupling_slice, edge_list
 from torusgraphs.simulation import (
@@ -151,6 +151,27 @@ class TestGeneratorSpec:
         X, truth, params = spec.generate(N=30, seed=6)
         assert X.shape == (30, 3)
         assert params is not None
+
+    @pytest.mark.parametrize("gibbs,error,message", [
+        (5, SchemaError, "option 'gibbs' must be an object"),
+        ({"burnin": 10}, SchemaError, "option 'gibbs' must be an object"),
+        ({"burn_in": "x"}, SchemaError, "field 'burn_in' has the wrong type"),
+        ({"thin": True}, SchemaError, "field 'thin' has the wrong type"),
+        ({"thin": 0}, DomainError, "gibbs needs burn_in >= 0 and thin >= 1"),
+        ({"burn_in": -1, "thin": 2}, DomainError, "gibbs needs burn_in >= 0 and thin >= 1"),
+    ], ids=["int", "misspelt-key", "str-burn-in", "bool-thin", "thin-0", "negative-burn-in"])
+    def test_bad_gibbs_option_raises_at_construction(self, gibbs, error, message):
+        with pytest.raises(error, match=message):
+            GeneratorSpec(kind="random", options={"d": 3, "edge_density": 0.5, "gibbs": gibbs})
+
+    def test_gibbs_settings_used(self):
+        spec = GeneratorSpec(kind="random", options={"d": 3, "edge_density": 0.5,
+                                                     "gibbs": {"burn_in": 10, "thin": 3}})
+        cfg = spec._gibbs_config(40, 9)
+        assert (cfg.n_samples, cfg.burn_in, cfg.thin, cfg.seed) == (40, 10, 3, 9)
+        default = GeneratorSpec(kind="random", options={"d": 3, "edge_density": 0.5})
+        cfg = default._gibbs_config(40, 9)
+        assert (cfg.burn_in, cfg.thin) == (500, 2)
 
 
 class TestRecoveryExperiment:
@@ -335,3 +356,51 @@ class TestDrawReplicates:
         with pytest.raises(DomainError, match="at least one replicate and one trial"):
             draw_replicates(recorder, n_reps=n_reps, N=N, seed=5)
         assert recorder.seeds == []
+
+    @pytest.mark.parametrize("kind,options", [
+        ("chain", {"d": 4, "xi": 0.1, "kappa1": 0.1, "kappa_eps": 10.0, "contam": (3, 0.1)}),
+        ("indirect-triple", {}),
+        ("uniform-null", {"d": 3}),
+    ])
+    def test_other_kinds_equal_per_seed_generate(self, kind, options):
+        spec = GeneratorSpec(kind=kind, options=options)
+        for r in draw_replicates(spec, n_reps=3, N=150, seed=17):
+            X, truth, params = spec.generate(150, r.seed)
+            assert np.array_equal(r.angles, X)
+            assert r.truth == truth and r.params is None and params is None
+
+    def test_random_draws_all_replicates_in_one_sampler_call(self, monkeypatch):
+        options = {"d": 4, "edge_density": 0.5, "gibbs": {"burn_in": 30, "thin": 1}}
+        spec = GeneratorSpec(kind="random", options=options)
+        calls = []
+        chains = torusgraphs.simulation.gibbs_sample_chains
+
+        def counted(params_list, cfg):
+            calls.append((list(params_list), cfg))
+            return chains(params_list, cfg)
+
+        def no_single_chain(*args, **kwargs):
+            raise AssertionError("gibbs_sample called")
+
+        monkeypatch.setattr(torusgraphs.simulation, "gibbs_sample_chains", counted)
+        monkeypatch.setattr(torusgraphs.simulation, "gibbs_sample", no_single_chain)
+        replicates = draw_replicates(spec, n_reps=5, N=60, seed=19)
+        assert len(calls) == 1
+        # seeds, truth and params are those of one generate call per spawned seed
+        children = np.random.SeedSequence(19).spawn(6)
+        seeds = [int(c.generate_state(1)[0]) for c in children[:5]]
+        assert [r.seed for r in replicates] == seeds
+        graph_options = {k: v for k, v in options.items() if k != "gibbs"}
+        for r in replicates:
+            params, truth = gen_random_torus_graph(seed=r.seed, **graph_options)
+            assert r.truth == truth
+            assert np.array_equal(r.params.phi, params.phi) and r.params.family == params.family
+        # the angles are one multi-chain draw seeded by the unused child n_reps
+        params_list, cfg = calls[0]
+        assert [p.phi.tolist() for p in params_list] == [r.params.phi.tolist() for r in replicates]
+        assert (cfg.n_samples, cfg.burn_in, cfg.thin) == (60, 30, 1)
+        assert cfg.seed == int(children[5].generate_state(1)[0])
+        draws = chains(params_list, cfg)
+        for c, r in enumerate(replicates):
+            assert r.angles.shape == (60, 4)
+            assert np.array_equal(r.angles, draws[c])
