@@ -75,7 +75,7 @@ from .model import (
     to_mean_centered,
     to_natural,
 )
-from .sampling import GibbsConfig, conditional_von_mises, gibbs_sample
+from .sampling import GibbsConfig, conditional_von_mises, gibbs_sample, gibbs_sample_chains
 from .simulation import (
     GeneratorSpec,
     RecoverySummary,

@@ -5,8 +5,9 @@ addition, to a single von Mises density. Writing the conditional exponent as
 b_x cos(x_k) + b_y sin(x_k), the marginal block contributes the constant
 terms and each coupling block contributes linear combinations of cos(x_j) and
 sin(x_j) with coefficients fixed by the block. Those coefficients are
-computed once (:func:`_conditional_coefficients`) and serve both the sweep
-loop and :func:`conditional_von_mises`.
+computed once (:func:`_conditional_coefficients`) and serve
+:func:`conditional_von_mises`, the one-chain sweep loop
+(:func:`gibbs_sample`) and the many-chain one (:func:`gibbs_sample_chains`).
 """
 
 import math

@@ -3,10 +3,11 @@
 The generators build rotationally coupled angle data trial by trial (each
 node's angles derived from a graph neighbor plus a fixed offset and von Mises
 noise, with a few trials contaminated by much noisier draws), or draw from a
-random sparse coupling model via Gibbs sampling. The harness draws the
-replicated data sets once, scores every candidate edge in each with a method
-(model fit or pairwise baseline), and reports ROC/AUC plus false
-positive/negative rates at a chosen decision rule.
+random sparse coupling model via Gibbs sampling (all replicates of a run in
+one multi-chain sampler call). The harness draws the replicated data sets
+once, scores every candidate edge in each with a method (model fit or
+pairwise baseline), and reports ROC/AUC plus false positive/negative rates
+at a chosen decision rule.
 """
 
 import inspect
