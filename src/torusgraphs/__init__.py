@@ -52,9 +52,11 @@ from .inference import (
     bootstrap_null_test,
     build_graph,
     edge_test,
+    edge_tests,
     goodness_of_fit,
     group_edge_test,
     partial_plv,
+    plv_tests,
 )
 from .io import Dataset, load_csv, load_graph, load_model, save_graph, save_model
 from .margins import (

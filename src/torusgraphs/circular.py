@@ -137,6 +137,19 @@ def circular_mean_resultant(angles):
     return Resultant(wrap_angle(np.arctan2(s, c)), min(length, 1.0))
 
 
+def _rayleigh(angles, name):
+    """(:func:`rayleigh_statistic`, :func:`rayleigh_test`) from one resultant;
+    an error message calls the result ``name``."""
+    a = np.asarray(angles, dtype=float)
+    n = a.size
+    if n < 2:
+        raise DomainError(f"Rayleigh {name} needs at least 2 angles")
+    rbar = circular_mean_resultant(a).mean_resultant_length
+    r = n * rbar
+    p = np.exp(np.sqrt(1.0 + 4.0 * n + 4.0 * (n * n - r * r)) - (1.0 + 2.0 * n))
+    return float(r * rbar), float(np.clip(p, 0.0, 1.0))
+
+
 def rayleigh_test(angles):
     """Rayleigh test of circular uniformity; returns the p-value.
 
@@ -144,23 +157,12 @@ def rayleigh_test(angles):
     p = exp(sqrt(1 + 4N + 4(N^2 - R^2)) - (1 + 2N)) with R = N * Rbar,
     clamped to [0, 1].
     """
-    a = np.asarray(angles, dtype=float)
-    n = a.size
-    if n < 2:
-        raise DomainError("Rayleigh test needs at least 2 angles")
-    rbar = circular_mean_resultant(a).mean_resultant_length
-    r = n * rbar
-    p = np.exp(np.sqrt(1.0 + 4.0 * n + 4.0 * (n * n - r * r)) - (1.0 + 2.0 * n))
-    return float(np.clip(p, 0.0, 1.0))
+    return _rayleigh(angles, "test")[1]
 
 
 def rayleigh_statistic(angles):
     """Rayleigh Z = N * Rbar^2, the statistic behind :func:`rayleigh_test`."""
-    a = np.asarray(angles, dtype=float)
-    if a.size < 2:
-        raise DomainError("Rayleigh statistic needs at least 2 angles")
-    rbar = circular_mean_resultant(a).mean_resultant_length
-    return float(a.size * rbar * rbar)
+    return _rayleigh(angles, "statistic")[0]
 
 
 def plv(x, y):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tgio
-from .circular import circular_mean_resultant, rayleigh_statistic, rayleigh_test, wrap_angle
+from .circular import circular_mean_resultant, wrap_angle
 from .estimation import FitResult, _cross_validate, _equation_residual
 from .estimation import fit_closed_form, fit_group_lasso
 from .exceptions import DomainError, NumericalError, SchemaError, TorusGraphError
@@ -26,13 +26,13 @@ from .inference import (
     asymptotic_cov,
     build_graph,
     correct_pvalues,
-    edge_test,
+    edge_tests,
     goodness_of_fit,
     group_edge_test,
-    EdgeTest,
+    plv_tests,
 )
 from .margins import bivar_phase_diff_density, population_plv_from_grid, trivar_phase_diff_density
-from .model import Family, edge_list
+from .model import Family
 from .sampling import GibbsConfig, gibbs_sample
 from .simulation import draw_replicates, plv_recovery_experiment, recovery_experiment
 
@@ -93,10 +93,13 @@ def _load_model_data(args):
     return ds, params
 
 
-def _loaded_fit(params, moments):
-    """A loaded model as a FitResult, with its residual on its active set."""
-    resid = _equation_residual(moments, params.phi, np.nonzero(params.active)[0])
-    return FitResult(params=params, moments=moments, method="loaded", residual_norm=resid)
+def _tested_fit(ds, params, requested_mode):
+    """(fit, sandwich covariance, test mode) of a loaded model on its data; the
+    fit's residual is taken on the model's active set."""
+    cov = asymptotic_cov(ds.angles, params)  # one walk gives the moments too
+    resid = _equation_residual(cov.moments, params.phi, np.nonzero(params.active)[0])
+    fit = FitResult(params=params, moments=cov.moments, method="loaded", residual_norm=resid)
+    return fit, cov, _auto_mode(params.family, requested_mode)
 
 
 def _add_dataset_options(p):
@@ -139,10 +142,8 @@ def cmd_fit(args):
 
 def cmd_test(args):
     ds, params = _load_model_data(args)
-    cov = asymptotic_cov(ds.angles, params)  # one walk gives the moments too
-    fit = _loaded_fit(params, cov.moments)
-    mode = _auto_mode(fit.params.family, args.mode)
-    tests = [edge_test(fit, cov, j, k, mode=mode) for j, k in edge_list(ds.d)]
+    fit, cov, mode = _tested_fit(ds, params, args.mode)
+    tests = edge_tests(fit, cov, mode)
     graph = build_graph(tests, alpha=args.alpha, correction=args.correction, d=ds.d)
     tgio.save_graph(args.out, graph)
     print(f"edgewise tests ({mode}, {len(tests)} pairs, alpha={args.alpha}, "
@@ -163,9 +164,7 @@ def cmd_region_test(args):
         for m in members:
             if not 0 <= m < ds.d:
                 raise DomainError(f"group {name!r} lists channel {m}, but d={ds.d}")
-    cov = asymptotic_cov(ds.angles, params)  # one walk gives the moments too
-    fit = _loaded_fit(params, cov.moments)
-    mode = _auto_mode(fit.params.family, args.mode)
+    fit, cov, mode = _tested_fit(ds, params, args.mode)
     names = sorted(groups)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     results = []
@@ -205,12 +204,7 @@ def cmd_sample(args):
 
 def cmd_plv_graph(args):
     ds = _load_dataset(args)
-    tests = []
-    for j, k in edge_list(ds.d):
-        w = wrap_angle(ds.angles[:, j] - ds.angles[:, k])
-        tests.append(
-            EdgeTest(edge=(j, k), x2=rayleigh_statistic(w), df=2, p=rayleigh_test(w), mode="plv")
-        )
+    tests = plv_tests(ds.angles)
     graph = build_graph(tests, alpha=args.alpha, correction=args.correction, d=ds.d)
     tgio.save_graph(args.out, graph)
     print(f"pairwise phase-locking graph (Rayleigh tests, alpha={args.alpha}, "

@@ -37,8 +37,8 @@ from .model import (
     Family,
     TorusGraphParams,
     _derivative_table,
-    coupling_slice,
-    edge_list,
+    coupling_coords,
+    edge_rank,
     family_mask,
     param_dim,
     suff_stats_batch,
@@ -233,9 +233,7 @@ class FitResult:
 
 def _active_indices(d, family, zero_edges=None):
     active = family_mask(d, family)
-    if zero_edges:
-        for j, k in zero_edges:
-            active[coupling_slice(d, j, k)] = False
+    active[coupling_coords(d)[[edge_rank(d, j, k) for j, k in zero_edges or ()]]] = False
     return np.nonzero(active)[0]
 
 
@@ -295,20 +293,14 @@ def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
 
 
 def _penalized_blocks(d, idx):
-    """Active-coordinate positions of each coupling block as an (E, size)
-    index matrix for the penalty (block size is uniform within a family)."""
+    """Active-coordinate positions of each penalized coupling block as an
+    (E, size) index matrix. A family masks the same columns of every block; a
+    zeroed edge's row goes first, so that no edge left leaves no column."""
     pos = -np.ones(param_dim(d), dtype=int)
     pos[idx] = np.arange(idx.size)
-    blocks = []
-    for j, k in edge_list(d):
-        sl = coupling_slice(d, j, k)
-        p = pos[sl.start : sl.stop]
-        p = p[p >= 0]
-        if p.size:
-            blocks.append(p)
-    if not blocks:
-        return np.zeros((0, 0), dtype=int)
-    return np.vstack(blocks)
+    blocks = pos[coupling_coords(d)]
+    blocks = blocks[(blocks >= 0).any(axis=1)]
+    return blocks[:, (blocks >= 0).any(axis=0)]
 
 
 def _block_norms(phi, blocks):

@@ -11,8 +11,10 @@ a test reads only the block F_c'F_c of the coordinates c it tests
 (:class:`SandwichCov`). Quadratic forms of coefficient blocks against that
 covariance give chi-squared statistics with one degree of freedom per tested
 coordinate: 4 for a full coupling block, 2 for its rotational or reflectional
-half, and 2|E| or 4|E| for groups of edges. Multiple testing is corrected in
-one place, :func:`correct_pvalues`.
+half, and 2|E| or 4|E| for groups of edges. The CLI and the benchmark harness
+score all pairs through :func:`edge_tests` and, for the pairwise phase-locking
+baseline, :func:`plv_tests`. Multiple testing is corrected in one place,
+:func:`correct_pvalues`.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .circular import bessel_ratio, chi2_sf, fisher_combine, ks_two_sample, wrap_angle
+from .circular import _rayleigh, bessel_ratio, chi2_sf, fisher_combine, ks_two_sample, wrap_angle
 from .estimation import (
     FitResult,
     ScoreMatchingMoments,
@@ -30,7 +32,7 @@ from .estimation import (
     fit_group_lasso,
 )
 from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
-from .model import Family, TorusGraphParams, coupling_slice, edge_list, param_dim
+from .model import Family, TorusGraphParams, coupling_coords, edge_list, edge_rank, param_dim
 from .sampling import GibbsConfig, gibbs_sample
 
 MODE_FULL = "full"
@@ -110,51 +112,59 @@ class EdgeTest:
     mode: str = MODE_FULL
 
 
-def _mode_offsets(mode):
-    if mode == MODE_FULL:
-        return [0, 1, 2, 3]
-    if mode == MODE_ROTATIONAL:
-        return [0, 1]
-    if mode == MODE_REFLECTIONAL:
-        return [2, 3]
-    raise DomainError(f"unknown test mode {mode!r}")
+_MODE_OFFSETS = {MODE_FULL: [0, 1, 2, 3], MODE_ROTATIONAL: [0, 1], MODE_REFLECTIONAL: [2, 3]}
 
 
-def _block_coords(fit, j, k, mode):
-    d = fit.params.d
-    if not (0 <= j < d and 0 <= k < d and j != k):
-        raise DomainError(f"invalid edge ({j}, {k}) for d={d}")
-    j, k = min(j, k), max(j, k)
-    sl = coupling_slice(d, j, k)
-    coords = [sl.start + o for o in _mode_offsets(mode)]
-    active = fit.params.active
-    if not all(active[c] for c in coords):
+def _edge_coords(params, edges, mode):
+    """Validated distinct edges as (j, k) with j < k, and an (edges, block size)
+    array of the coordinates ``mode`` tests on each, read off the coupling table."""
+    d = params.d
+    norm = {}  # an ordered set
+    for j, k in edges:
+        if not (0 <= j < d and 0 <= k < d and j != k):
+            raise DomainError(f"invalid edge ({j}, {k}) for d={d}")
+        edge = (min(j, k), max(j, k))
+        if edge in norm:
+            raise DomainError(f"duplicate edge {edge}")
+        norm[edge] = None
+    if mode not in _MODE_OFFSETS:
+        raise DomainError(f"unknown test mode {mode!r}")
+    coords = coupling_coords(d)[[edge_rank(d, j, k) for j, k in norm]][:, _MODE_OFFSETS[mode]]
+    if not params.active[coords].all():
         raise FamilyScopeError(
-            f"mode {mode!r} tests coordinates masked by family {fit.params.family.value!r}"
+            f"mode {mode!r} tests coordinates masked by family {params.family.value!r}"
         )
-    return (j, k), coords
+    return list(norm), coords
 
 
-def _quadratic_test(fit, cov, coords):
+def _quadratic_test(fit, cov, edge, coords, mode):
+    """Test of ``edge`` (a pair, or a tuple of pairs) that the coefficients on
+    ``coords`` are zero. Each test solves its own freshly gathered block, so
+    its statistic does not depend on which other tests run with it."""
     phi_e = fit.params.phi[coords]
     sigma_e = cov.block(coords)
     try:
         sol = np.linalg.solve(sigma_e, phi_e)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateTestError("singular covariance block in edge test") from exc
+        raise DegenerateTestError(f"singular covariance block in the test of {edge}") from exc
     x2 = float(fit.n * phi_e @ sol)
     if not np.isfinite(x2):
-        raise DegenerateTestError("non-finite edge test statistic")
-    return max(x2, 0.0)
+        raise DegenerateTestError(f"non-finite test statistic for {edge}")
+    x2 = max(x2, 0.0)
+    return EdgeTest(edge=edge, x2=x2, df=len(coords), p=chi2_sf(x2, len(coords)), mode=mode)
 
 
 def edge_test(fit, cov, j, k, mode=MODE_FULL):
     """Chi-squared test of one coupling block (or its rotational /
     reflectional half) against zero; df equals the tested block size."""
-    edge, coords = _block_coords(fit, j, k, mode)
-    x2 = _quadratic_test(fit, cov, coords)
-    df = len(coords)
-    return EdgeTest(edge=edge, x2=x2, df=df, p=chi2_sf(x2, df), mode=mode)
+    (edge,), (coords,) = _edge_coords(fit.params, [(j, k)], mode)
+    return _quadratic_test(fit, cov, edge, coords, mode)
+
+
+def edge_tests(fit, cov, mode=MODE_FULL):
+    """:func:`edge_test` of every pair, in canonical edge order."""
+    edges, coords = _edge_coords(fit.params, edge_list(fit.params.d), mode)
+    return [_quadratic_test(fit, cov, edge, c, mode) for edge, c in zip(edges, coords)]
 
 
 def group_edge_test(fit, cov, edges, mode=MODE_FULL):
@@ -164,19 +174,20 @@ def group_edge_test(fit, cov, edges, mode=MODE_FULL):
     """
     if not edges:
         raise DomainError("need at least one edge")
-    coords = []
-    seen = set()
-    norm_edges = []
-    for j, k in edges:
-        edge, block = _block_coords(fit, j, k, mode)
-        if edge in seen:
-            raise DomainError(f"duplicate edge {edge}")
-        seen.add(edge)
-        norm_edges.append(edge)
-        coords.extend(block)
-    x2 = _quadratic_test(fit, cov, coords)
-    df = len(coords)
-    return EdgeTest(edge=tuple(norm_edges), x2=x2, df=df, p=chi2_sf(x2, df), mode=mode)
+    norm_edges, coords = _edge_coords(fit.params, edges, mode)
+    return _quadratic_test(fit, cov, tuple(norm_edges), coords.ravel(), mode)
+
+
+def plv_tests(data):
+    """Pairwise phase-locking baseline: Rayleigh Z and p-value of every pair's
+    wrapped phase difference, in canonical edge order, as EdgeTests of mode
+    "plv" and df 2."""
+    X = np.atleast_2d(np.asarray(data, dtype=float))
+    tests = []
+    for j, k in edge_list(X.shape[1]):
+        x2, p = _rayleigh(wrap_angle(X[:, j] - X[:, k]), "statistic")
+        tests.append(EdgeTest(edge=(j, k), x2=x2, df=2, p=p, mode="plv"))
+    return tests
 
 
 @dataclass(frozen=True)
@@ -269,10 +280,8 @@ def partial_plv(fit, j, k):
             "partial PLV is defined for the rotational-coupling families; "
             f"got {fit.params.family.value!r}"
         )
-    d = fit.params.d
-    j, k = min(j, k), max(j, k)
-    sl = coupling_slice(d, j, k)
-    return float(bessel_ratio(np.hypot(fit.params.phi[sl.start], fit.params.phi[sl.start + 1])))
+    rot_cos, rot_sin = fit.params.coupling_block(min(j, k), max(j, k))[:2]
+    return float(bessel_ratio(np.hypot(rot_cos, rot_sin)))
 
 
 def goodness_of_fit(data, fit, n_synth=2000, seed=0):
@@ -320,7 +329,7 @@ STAT_MAX_BLOCK_NORM = "max-block-norm"
 
 
 def _bootstrap_statistic(params, edges, statistic):
-    norms = [np.linalg.norm(params.phi[coupling_slice(params.d, j, k)]) for j, k in edges]
+    norms = [np.linalg.norm(params.coupling_block(j, k)) for j, k in edges]
     if statistic == STAT_NONZERO_EDGE_COUNT:
         return float(sum(1 for v in norms if v > 0))
     if statistic == STAT_MAX_BLOCK_NORM:

@@ -18,7 +18,7 @@ from .circular import wrap_angle
 from .exceptions import DomainError, ParseError, SchemaError
 from .inference import EdgeTest, GraphStructure
 from .model import Family, TorusGraphParams, param_dim
-from .simulation import GeneratorSpec, _generator_options
+from .simulation import GeneratorSpec
 
 SCHEMA_VERSION = 1
 
@@ -302,15 +302,11 @@ def load_experiment_config(path):
     if kind not in GeneratorSpec._KINDS:
         raise SchemaError(f"unknown generator kind {kind!r}; expected one of {GeneratorSpec._KINDS}")
     options = {k: v for k, v in gen_doc.items() if k != "kind"}
-    required, optional = _generator_options(kind)
-    missing, unknown = sorted(required - options.keys()), sorted(options.keys() - required - optional)
-    if missing or unknown:
-        raise SchemaError(f"generator {kind!r}: missing options {missing}, unknown options {unknown}")
     if "d" in options:
         _require(options, "d", int)
     if "contam" in options:
         options["contam"] = tuple(options["contam"])
-    spec = GeneratorSpec(kind=kind, options=options)  # checks d and the Gibbs settings
+    spec = GeneratorSpec(kind=kind, options=options)  # checks the option names, d and Gibbs
     settings = {
         "n_reps": _require(doc, "n_reps", int),
         "N": _require(doc, "N", int),

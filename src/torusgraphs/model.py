@@ -66,6 +66,12 @@ def coupling_slice(d, j, k):
     return slice(start, start + 4)
 
 
+def coupling_coords(d):
+    """(E, 4) integer table of the coupling coordinates: row e holds those of
+    the e-th edge in canonical order, 2d + 4e + (0, 1, 2, 3)."""
+    return np.arange(2 * d, param_dim(d)).reshape(-1, 4)
+
+
 def family_mask(d, family):
     """Boolean vector over the coefficient layout: True = active under family."""
     family = Family(family)
@@ -73,9 +79,7 @@ def family_mask(d, family):
     if family in (Family.UNIFORM_MARGINAL, Family.UNIFORM_PHASE_DIFF):
         active[: 2 * d] = False
     if family in (Family.PHASE_DIFF, Family.UNIFORM_PHASE_DIFF):
-        for j, k in edge_list(d):
-            sl = coupling_slice(d, j, k)
-            active[sl.start + 2 : sl.start + 4] = False
+        active[2 * d + 2 :: 4] = active[2 * d + 3 :: 4] = False
     return active
 
 

@@ -5,9 +5,10 @@ node's angles derived from a graph neighbor plus a fixed offset and von Mises
 noise, with a few trials contaminated by much noisier draws), or draw from a
 random sparse coupling model via Gibbs sampling (all replicates of a run in
 one multi-chain sampler call). The harness draws the replicated data sets
-once, scores every candidate edge in each with a method (model fit or
-pairwise baseline), and reports ROC/AUC plus false positive/negative rates
-at a chosen decision rule.
+once, scores every candidate edge in each with a method, and reports ROC/AUC
+plus false positive/negative rates at a chosen decision rule. A method scores
+with what the CLI runs: ``edge_tests`` as in ``test``, ``plv_tests`` as in
+``plv-graph``.
 """
 
 import inspect
@@ -16,11 +17,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .circular import rayleigh_statistic, rayleigh_test, von_mises_sample, wrap_angle
+from .circular import von_mises_sample, wrap_angle
 from .estimation import fit_closed_form
 from .exceptions import DomainError, SchemaError, add_context
-from .inference import asymptotic_cov, correct_pvalues, edge_test
-from .model import Family, TorusGraphParams, coupling_slice, edge_list, param_dim
+from .inference import asymptotic_cov, correct_pvalues, edge_tests, plv_tests
+from .model import Family, TorusGraphParams, coupling_coords, edge_list, param_dim
 from .sampling import GibbsConfig, gibbs_sample, gibbs_sample_chains
 
 FPR_GRID_SIZE = 512
@@ -148,12 +149,10 @@ def gen_random_torus_graph(d, edge_density, coupling_scale=1.0, seed=0, marginal
         mus = rng.uniform(0, 2 * np.pi, d)
         phi[0 : 2 * d : 2] = marginal_kappa * np.cos(mus)
         phi[1 : 2 * d : 2] = marginal_kappa * np.sin(mus)
+    rotational = coupling_coords(d)[:, :2]
     for t in chosen:
-        j, k = pairs[t]
         angle = rng.uniform(0, 2 * np.pi)
-        sl = coupling_slice(d, j, k)
-        phi[sl.start] = coupling_scale * np.cos(angle)
-        phi[sl.start + 1] = coupling_scale * np.sin(angle)
+        phi[rotational[t]] = coupling_scale * np.cos(angle), coupling_scale * np.sin(angle)
     family = Family.PHASE_DIFF if marginal_kappa > 0 else Family.UNIFORM_PHASE_DIFF
     params = TorusGraphParams(d=d, phi=phi, family=family)
     truth = TruthGraph(d=d, edges=frozenset(pairs[t] for t in chosen))
@@ -187,8 +186,8 @@ class GeneratorSpec:
     plus for "random" an optional ``gibbs`` object with integer ``burn_in``
     (>= 0, default 500) and ``thin`` (>= 1, default 2). A kind with a
     dimension option ``d`` needs an integer d >= 2, so that there is at least
-    one pair to score. A malformed ``gibbs`` is SchemaError, an out-of-range
-    one DomainError.
+    one pair to score. A missing or unknown option and a malformed ``gibbs``
+    are SchemaError, an out-of-range value DomainError.
     """
 
     kind: str
@@ -199,6 +198,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}; expected one of {self._KINDS}")
+        required, optional = _generator_options(self.kind)
+        missing = sorted(required - self.options.keys())
+        unknown = sorted(self.options.keys() - required - optional)
+        if missing or unknown:
+            raise SchemaError(f"generator {self.kind!r}: missing options {missing}, "
+                              f"unknown options {unknown}")
         gibbs = self.options.get("gibbs", {}) if self.kind == "random" else {}
         if not isinstance(gibbs, dict) or gibbs.keys() - {"burn_in", "thin"}:
             raise SchemaError("generator option 'gibbs' must be an object with keys among "
@@ -313,21 +318,20 @@ def draw_replicates(gen, n_reps, N, seed=0):
 
 
 def _experiment(replicates, score, alpha, correction):
-    """Score every replicate with ``score(angles, pairs) -> (scores, pvals,
+    """Score every replicate with ``score(angles) -> (EdgeTests of every pair,
     fitted phi or None)``; average the ROC curves over replicates and apply
     the (alpha, correction) rule for the per-replicate FPR/FNR."""
     grid = np.linspace(0.0, 1.0, FPR_GRID_SIZE)
     tprs, fprs, fnrs, mses = [], [], [], []
     for rep, r in enumerate(replicates):
-        pairs = edge_list(r.truth.d)
         try:
-            scores, pvals, phi = score(r.angles, pairs)
+            tests, phi = score(r.angles)
         except Exception as exc:
             add_context(exc, f"replicate {rep} (seed {r.seed})")
             raise
-        labels = np.array([r.truth.has_edge(j, k) for j, k in pairs])
-        tprs.append(_interp_roc(*_roc_points(scores, labels), grid))
-        fpr, fnr = _decision_rates(pvals, labels, alpha, correction)
+        labels = np.array([r.truth.has_edge(*t.edge) for t in tests])
+        tprs.append(_interp_roc(*_roc_points([t.x2 for t in tests], labels), grid))
+        fpr, fnr = _decision_rates([t.p for t in tests], labels, alpha, correction)
         fprs.append(fpr)
         fnrs.append(fnr)
         if phi is not None and r.params is not None:
@@ -356,11 +360,10 @@ def recovery_experiment(replicates, alpha=0.001, correction="bonferroni",
     the block test statistic, and report coefficient MSE where the truth is
     a model."""
 
-    def score(X, pairs):
+    def score(X):
         fit = fit_closed_form(X, family=family)
         cov = asymptotic_cov(X, fit.params, moments=fit.moments)
-        tests = [edge_test(fit, cov, j, k, mode=mode) for j, k in pairs]
-        return [t.x2 for t in tests], [t.p for t in tests], fit.params.phi
+        return edge_tests(fit, cov, mode), fit.params.phi
 
     return _experiment(replicates, score, alpha, correction)
 
@@ -369,8 +372,4 @@ def plv_recovery_experiment(replicates, alpha=0.001, correction="bonferroni"):
     """Pairwise baseline: score each pair by the Rayleigh statistic of the
     wrapped phase differences and decide edges by the Rayleigh test."""
 
-    def score(X, pairs):
-        diffs = [wrap_angle(X[:, j] - X[:, k]) for j, k in pairs]
-        return [rayleigh_statistic(w) for w in diffs], [rayleigh_test(w) for w in diffs], None
-
-    return _experiment(replicates, score, alpha, correction)
+    return _experiment(replicates, lambda X: (plv_tests(X), None), alpha, correction)

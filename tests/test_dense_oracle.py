@@ -18,13 +18,13 @@ from torusgraphs.inference import (
     MODE_FULL,
     MODE_REFLECTIONAL,
     MODE_ROTATIONAL,
-    _block_coords,
     asymptotic_cov,
 )
 from torusgraphs.model import Family, TorusGraphParams, edge_list
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 
 from derivative_oracle import jacobian_D
+from test_scoring_oracle import _block_coords
 
 ATOL = 1e-12
 DIMS = (1, 2, 3, 5, 8)

@@ -5,7 +5,12 @@ import pytest
 import scipy.stats
 
 from torusgraphs.estimation import accumulate_moments, fit_closed_form
-from torusgraphs.exceptions import DomainError, FamilyScopeError, SingularMomentsError
+from torusgraphs.exceptions import (
+    DegenerateTestError,
+    DomainError,
+    FamilyScopeError,
+    SingularMomentsError,
+)
 from torusgraphs.inference import (
     CORRECTION_BONFERRONI,
     CORRECTION_NONE,
@@ -15,11 +20,13 @@ from torusgraphs.inference import (
     STAT_MAX_BLOCK_NORM,
     STAT_NONZERO_EDGE_COUNT,
     EdgeTest,
+    SandwichCov,
     asymptotic_cov,
     bootstrap_null_test,
     build_graph,
     correct_pvalues,
     edge_test,
+    edge_tests,
     goodness_of_fit,
     group_edge_test,
     partial_plv,
@@ -144,6 +151,39 @@ class TestEdgeTest:
         cov = asymptotic_cov(X, fit.params, moments=fit.moments)
         assert edge_test(fit, cov, 0, 1).p < 1e-6
         assert edge_test(fit, cov, 0, 2).p > 1e-4
+
+
+class TestDegenerateTest:
+    """A covariance whose factor is damaged on the columns of edge (0, 2)."""
+
+    @staticmethod
+    def damaged(value):
+        _, fit, cov = uniform_fit(3, 600, seed=72)
+        factor = cov.factor.copy()
+        factor[:, cov.position[coupling_slice(3, 0, 2)]] = value
+        return fit, SandwichCov(factor=factor, position=cov.position, moments=cov.moments)
+
+    def test_singular_block_names_its_edge(self):
+        fit, cov = self.damaged(0.0)
+        with pytest.raises(DegenerateTestError, match=r"singular .* of \(0, 2\)$"):
+            edge_test(fit, cov, 2, 0)
+        with pytest.raises(DegenerateTestError, match=r"singular .* of \(0, 2\)$"):
+            edge_tests(fit, cov)
+        assert edge_test(fit, cov, 0, 1).df == 4  # other edges still test
+
+    def test_singular_block_names_its_group(self):
+        fit, cov = self.damaged(0.0)
+        with pytest.raises(DegenerateTestError, match=r"singular .* of \(\(0, 1\), \(0, 2\)\)$"):
+            group_edge_test(fit, cov, [(0, 1), (2, 0)], MODE_ROTATIONAL)
+
+    def test_non_finite_statistic_names_its_edge(self):
+        fit, cov = self.damaged(np.nan)
+        with pytest.raises(DegenerateTestError, match=r"non-finite .* for \(0, 2\)$"):
+            edge_test(fit, cov, 0, 2)
+        with pytest.raises(DegenerateTestError, match=r"non-finite .* for \(0, 2\)$"):
+            edge_tests(fit, cov, MODE_REFLECTIONAL)
+        with pytest.raises(DegenerateTestError, match=r"non-finite .* for \(\(0, 2\), \(1, 2\)\)$"):
+            group_edge_test(fit, cov, [(0, 2), (1, 2)])
 
 
 class TestGroupEdgeTest:

@@ -164,6 +164,21 @@ class TestGeneratorSpec:
         with pytest.raises(error, match=message):
             GeneratorSpec(kind="random", options={"d": 3, "edge_density": 0.5, "gibbs": gibbs})
 
+    @pytest.mark.parametrize("kind,options,message", [
+        ("random", {"d": 3, "edge_density": 0.5, "foo": 1},
+         "generator 'random': missing options [], unknown options ['foo']"),
+        ("random", {"d": 3}, "generator 'random': missing options ['edge_density'], "
+                             "unknown options []"),
+        ("chain", {"d": 4, "kappa1": 0.1, "kappa_eps": 10.0, "seed": 3},
+         "generator 'chain': missing options ['xi'], unknown options ['seed']"),
+        ("uniform-null", {"d": 3, "gibbs": {}},
+         "generator 'uniform-null': missing options [], unknown options ['gibbs']"),
+    ], ids=["random-unknown", "random-missing", "chain-both", "gibbs-off-random"])
+    def test_bad_option_names_raise_at_construction(self, kind, options, message):
+        with pytest.raises(SchemaError) as info:
+            GeneratorSpec(kind=kind, options=options)
+        assert str(info.value) == message
+
     def test_gibbs_settings_used(self):
         spec = GeneratorSpec(kind="random", options={"d": 3, "edge_density": 0.5,
                                                      "gibbs": {"burn_in": 10, "thin": 3}})
@@ -322,8 +337,8 @@ class TestReplicateErrors:
     @pytest.mark.parametrize("method", ["recovery", "plv"])
     def test_failing_scorer_names_replicate_and_seed(self, method, monkeypatch):
         # the draws succeed; the second replicate's scoring raises (one fit,
-        # or three Rayleigh statistics, per d=3 replicate)
-        name, per_rep = {"recovery": ("fit_closed_form", 1), "plv": ("rayleigh_statistic", 3)}[method]
+        # or one all-pairs PLV scoring, per replicate)
+        name, per_rep = {"recovery": ("fit_closed_form", 1), "plv": ("plv_tests", 1)}[method]
         original = getattr(torusgraphs.simulation, name)
         calls = []
 
