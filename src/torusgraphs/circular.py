@@ -124,30 +124,37 @@ class Resultant:
     degenerate: bool = False
 
 
+def _resultant(angles):
+    """Mean cosine, mean sine and their hypot (the resultant length) of the
+    angles along the last axis, each row summed on its own."""
+    c = np.mean(np.cos(angles), axis=-1)
+    s = np.mean(np.sin(angles), axis=-1)
+    return c, s, np.hypot(c, s)
+
+
 def circular_mean_resultant(angles):
     """Mean direction and mean resultant length of a sample of angles."""
     a = np.asarray(angles, dtype=float)
     if a.size == 0:
         raise DomainError("need at least one angle")
-    c = float(np.mean(np.cos(a)))
-    s = float(np.mean(np.sin(a)))
-    length = float(np.hypot(c, s))
+    c, s, length = (float(v) for v in _resultant(a.ravel()))
     if length < _DEGENERATE_LENGTH:
         return Resultant(0.0, length, degenerate=True)
     return Resultant(wrap_angle(np.arctan2(s, c)), min(length, 1.0))
 
 
 def _rayleigh(angles, name):
-    """(:func:`rayleigh_statistic`, :func:`rayleigh_test`) from one resultant;
-    an error message calls the result ``name``."""
+    """(:func:`rayleigh_statistic`, :func:`rayleigh_test`) of the angles
+    along the last axis, as arrays for a 2-D input (one test per row); an
+    error message calls the result ``name``."""
     a = np.asarray(angles, dtype=float)
-    n = a.size
+    n = a.shape[-1]
     if n < 2:
         raise DomainError(f"Rayleigh {name} needs at least 2 angles")
-    rbar = circular_mean_resultant(a).mean_resultant_length
+    rbar = np.minimum(_resultant(a)[2], 1.0)
     r = n * rbar
     p = np.exp(np.sqrt(1.0 + 4.0 * n + 4.0 * (n * n - r * r)) - (1.0 + 2.0 * n))
-    return float(r * rbar), float(np.clip(p, 0.0, 1.0))
+    return r * rbar, np.clip(p, 0.0, 1.0)
 
 
 def rayleigh_test(angles):
@@ -157,12 +164,12 @@ def rayleigh_test(angles):
     p = exp(sqrt(1 + 4N + 4(N^2 - R^2)) - (1 + 2N)) with R = N * Rbar,
     clamped to [0, 1].
     """
-    return _rayleigh(angles, "test")[1]
+    return float(_rayleigh(np.ravel(angles), "test")[1])
 
 
 def rayleigh_statistic(angles):
     """Rayleigh Z = N * Rbar^2, the statistic behind :func:`rayleigh_test`."""
-    return _rayleigh(angles, "statistic")[0]
+    return float(_rayleigh(np.ravel(angles), "statistic")[0])
 
 
 def plv(x, y):
@@ -175,9 +182,7 @@ def plv(x, y):
     y = np.asarray(y, dtype=float)
     if x.size == 0 or x.shape != y.shape:
         raise DomainError("inputs must be equal-length and nonempty")
-    d = x - y
-    value = float(np.hypot(np.mean(np.cos(d)), np.mean(np.sin(d))))
-    return min(value, 1.0)
+    return min(float(_resultant((x - y).ravel())[2]), 1.0)
 
 
 def circular_correlation(x, y):

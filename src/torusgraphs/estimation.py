@@ -106,13 +106,6 @@ class ScoreMatchingMoments:
                 G[np.ix_(p[keep], p[keep])] += B[np.ix_(keep, keep)]
         return G
 
-    @property
-    def gamma_hat(self):
-        """The full 2d^2-square Gamma_hat, assembled on each access (read-only)."""
-        G = self.gamma_block(np.arange(self.h_hat.size))
-        G.flags.writeable = False
-        return G
-
 
 def _pool(parts):
     """Moments of the union of disjoint samples from each sample's moments."""

@@ -32,7 +32,15 @@ from .estimation import (
     fit_group_lasso,
 )
 from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
-from .model import Family, TorusGraphParams, coupling_coords, edge_list, edge_rank, param_dim
+from .model import (
+    Family,
+    TorusGraphParams,
+    _edge_index_arrays,
+    coupling_coords,
+    edge_list,
+    edge_rank,
+    param_dim,
+)
 from .sampling import GibbsConfig, gibbs_sample
 
 MODE_FULL = "full"
@@ -183,11 +191,13 @@ def plv_tests(data):
     wrapped phase difference, in canonical edge order, as EdgeTests of mode
     "plv" and df 2."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    tests = []
-    for j, k in edge_list(X.shape[1]):
-        x2, p = _rayleigh(wrap_angle(X[:, j] - X[:, k]), "statistic")
-        tests.append(EdgeTest(edge=(j, k), x2=x2, df=2, p=p, mode="plv"))
-    return tests
+    jj, kk = _edge_index_arrays(X.shape[1])
+    if not jj.size:
+        return []
+    # one contiguous row per pair, so each row sums as the pair's own sample would
+    x2, p = _rayleigh(wrap_angle(X.T[jj] - X.T[kk]), "statistic")
+    return [EdgeTest(edge=(j, k), x2=s, df=2, p=q, mode="plv")
+            for j, k, s, q in zip(jj.tolist(), kk.tolist(), x2.tolist(), p.tolist())]
 
 
 @dataclass(frozen=True)
@@ -304,24 +314,18 @@ def goodness_of_fit(data, fit, n_synth=2000, seed=0):
     if n_synth < 100:
         raise DomainError("need at least 100 synthetic draws")
     synth = gibbs_sample(params, GibbsConfig(n_samples=n_synth, burn_in=500, seed=seed))
-    p_marginal = fisher_combine(
-        [ks_two_sample(wrap_angle(X[:, j]), synth[:, j]) for j in range(d)]
-    )
-    if d < 2:
-        return {"p_marginal": p_marginal, "p_diff": 1.0, "p_sum": 1.0}
-    p_diff = fisher_combine(
-        [
-            ks_two_sample(wrap_angle(X[:, j] - X[:, k]), wrap_angle(synth[:, j] - synth[:, k]))
-            for j, k in edge_list(d)
-        ]
-    )
-    p_sum = fisher_combine(
-        [
-            ks_two_sample(wrap_angle(X[:, j] + X[:, k]), wrap_angle(synth[:, j] + synth[:, k]))
-            for j, k in edge_list(d)
-        ]
-    )
-    return {"p_marginal": p_marginal, "p_diff": p_diff, "p_sum": p_sum}
+    jj, kk = _edge_index_arrays(d)
+    # KS columns of each group: the channels, the pair differences, the pair sums
+    groups = {
+        "p_marginal": (X, synth),
+        "p_diff": (X[:, jj] - X[:, kk], synth[:, jj] - synth[:, kk]),
+        "p_sum": (X[:, jj] + X[:, kk], synth[:, jj] + synth[:, kk]),
+    }
+    return {
+        key: fisher_combine([ks_two_sample(a, b) for a, b in zip(wrap_angle(A).T, wrap_angle(B).T)])
+        if A.shape[1] else 1.0  # no pairs at d = 1
+        for key, (A, B) in groups.items()
+    }
 
 
 STAT_NONZERO_EDGE_COUNT = "nonzero-edge-count"

@@ -72,11 +72,14 @@ def load_csv(path, units=UNITS_RADIANS, header="auto", delimiter=","):
     ``units="degrees"``). ``header`` may be True, False, or "auto" (treat the
     first row as names when it does not parse as numbers); generated names
     are "ch01", "ch02", ... Malformed content raises ParseError with the
-    offending row/column (1-based, counting the header).
+    offending row/column (1-based, counting the header); so do unknown units
+    and a ``delimiter`` that is not exactly one character.
     """
     units = units.lower()
     if units not in (UNITS_RADIANS, UNITS_DEGREES):
         raise ParseError(f"unknown units {units!r}")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ParseError(f"delimiter must be exactly one character, got {delimiter!r}")
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh, delimiter=delimiter):
@@ -272,16 +275,25 @@ def save_density_csv(path, grids):
 
 
 def load_groups(path):
-    """Read a named channel-grouping JSON: {"groups": {name: [indices...]}}."""
+    """Read a named channel-grouping JSON: {"groups": {name: [indices...]}}.
+
+    Each group is a nonempty list of integer channel indices (JSON true/false
+    are not indices), and no channel is in two groups.
+    """
     doc = _read_json(path)
     _check_version(doc)
     groups = _require(doc, "groups", dict)
     out = {}
+    owner = {}
     for name, members in groups.items():
         if not isinstance(members, list) or not members:
             raise SchemaError(f"group {name!r} must be a nonempty list")
-        if not all(isinstance(m, int) for m in members):
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in members):
             raise SchemaError(f"group {name!r} must list integer channel indices")
+        for m in members:
+            if owner.setdefault(m, name) != name:
+                raise SchemaError(f"groups {owner[m]!r} and {name!r} share channel {m}; "
+                                  "groups must be disjoint")
         out[name] = list(members)
     return out
 
@@ -289,8 +301,9 @@ def load_groups(path):
 def load_experiment_config(path):
     """Read a benchmark configuration; returns (GeneratorSpec, settings dict).
 
-    Unknown generator kinds, missing or unknown generator options and a
-    non-integer ``d`` or Gibbs setting are SchemaError; values out of range
+    Unknown generator kinds, missing or unknown generator options, option
+    values of the wrong type (:class:`GeneratorSpec`) and a non-integer ``d``
+    or Gibbs setting are SchemaError; values out of range
     (d < 2, alpha outside (0, 1), burn_in < 0, thin < 1) are DomainError, as
     is a negative seed (raised by ``draw_replicates``), all before any data is
     drawn.
@@ -304,9 +317,7 @@ def load_experiment_config(path):
     options = {k: v for k, v in gen_doc.items() if k != "kind"}
     if "d" in options:
         _require(options, "d", int)
-    if "contam" in options:
-        options["contam"] = tuple(options["contam"])
-    spec = GeneratorSpec(kind=kind, options=options)  # checks the option names, d and Gibbs
+    spec = GeneratorSpec(kind=kind, options=options)  # checks the option names and values
     settings = {
         "n_reps": _require(doc, "n_reps", int),
         "N": _require(doc, "N", int),

@@ -254,19 +254,18 @@ def to_natural(mc):
     phi = np.zeros(param_dim(d))
     phi[0 : 2 * d : 2] = mc.kappa * np.cos(mc.mu)
     phi[1 : 2 * d : 2] = mc.kappa * np.sin(mc.mu)
-    for t, (j, k) in enumerate(edge_list(d)):
-        lcc, lcs, lsc, lss = mc.lambdas[t]
-        dm = mc.mu[j] - mc.mu[k]
-        sm = mc.mu[j] + mc.mu[k]
-        sl = coupling_slice(d, j, k)
-        phi[sl] = 0.5 * np.array(
-            [
-                (lcc + lss) * np.cos(dm) + (lcs - lsc) * np.sin(dm),
-                (lsc - lcs) * np.cos(dm) + (lcc + lss) * np.sin(dm),
-                (lcc - lss) * np.cos(sm) + (-lcs - lsc) * np.sin(sm),
-                (lcs + lsc) * np.cos(sm) + (lcc - lss) * np.sin(sm),
-            ]
-        )
+    jj, kk = _edge_index_arrays(d)
+    lcc, lcs, lsc, lss = mc.lambdas.T
+    dm = mc.mu[jj] - mc.mu[kk]
+    sm = mc.mu[jj] + mc.mu[kk]
+    phi[coupling_coords(d)] = 0.5 * np.column_stack(
+        [
+            (lcc + lss) * np.cos(dm) + (lcs - lsc) * np.sin(dm),
+            (lsc - lcs) * np.cos(dm) + (lcc + lss) * np.sin(dm),
+            (lcc - lss) * np.cos(sm) + (-lcs - lsc) * np.sin(sm),
+            (lcs + lsc) * np.cos(sm) + (lcc - lss) * np.sin(sm),
+        ]
+    )
     return TorusGraphParams(d=d, phi=phi, family=Family.FULL)
 
 
@@ -287,18 +286,19 @@ def to_mean_centered(params):
         raise UnidentifiedMeanError(f"node {j} has zero concentration; mean direction unidentified")
     mu = wrap_angle(np.arctan2(sinb, cosb))
     mu = np.atleast_1d(mu)
-    lambdas = np.empty((d * (d - 1) // 2, 4))
-    for t, (j, k) in enumerate(edge_list(d)):
-        p1, p2, p3, p4 = params.coupling_block(j, k)
-        dm = mu[j] - mu[k]
-        sm = mu[j] + mu[k]
-        cdm, sdm, csm, ssm = np.cos(dm), np.sin(dm), np.cos(sm), np.sin(sm)
-        lambdas[t] = [
+    jj, kk = _edge_index_arrays(d)
+    p1, p2, p3, p4 = params.phi[coupling_coords(d)].T
+    dm = mu[jj] - mu[kk]
+    sm = mu[jj] + mu[kk]
+    cdm, sdm, csm, ssm = np.cos(dm), np.sin(dm), np.cos(sm), np.sin(sm)
+    lambdas = np.column_stack(
+        [
             p1 * cdm + p2 * sdm + p3 * csm + p4 * ssm,
             -p2 * cdm + p1 * sdm + p4 * csm - p3 * ssm,
             p2 * cdm - p1 * sdm + p4 * csm - p3 * ssm,
             p1 * cdm + p2 * sdm - p3 * csm - p4 * ssm,
         ]
+    )
     return MeanCenteredParams(mu=mu, kappa=kappa, lambdas=lambdas)
 
 

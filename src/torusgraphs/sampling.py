@@ -17,7 +17,7 @@ import numpy as np
 
 from .circular import wrap_angle
 from .exceptions import DomainError
-from .model import TorusGraphParams, edge_list
+from .model import TorusGraphParams, _edge_index_arrays, coupling_coords
 
 UNIFORM_RANDOM = "uniform-random"
 
@@ -45,31 +45,26 @@ class GibbsConfig:
 
 
 def _conditional_coefficients(params):
-    """Per-node coefficient matrices for the conditional exponent.
+    """Every node's conditional exponent as one row table, scattered from
+    the coupling table.
 
-    Returns (cx_c, cx_s, cy_c, cy_s), each (d, d) with zero diagonal, such
-    that for state x with c = cos(x), s = sin(x):
-
-        b_x[k] = phi_k1 + cx_c[k] @ c + cx_s[k] @ s
-        b_y[k] = phi_k2 + cy_c[k] @ c + cy_s[k] @ s
-
-    and the conditional of x_k given the rest is von Mises with
-    concentration hypot(b_x, b_y) and mean atan2(b_y, b_x).
+    Returns rows (d, 2, 2d) and bias (d, 2) such that for state x with
+    cs = (cos x | sin x), b = rows[k] @ cs + bias[k] and the conditional of
+    x_k given the rest is von Mises with concentration hypot(b[0], b[1]) and
+    mean atan2(b[1], b[0]). rows[k] is zero on x_k's own two columns, and
+    bias[k] is node k's marginal block (phi_k1, phi_k2).
     """
     d = params.d
-    cx_c = np.zeros((d, d))
-    cx_s = np.zeros((d, d))
-    cy_c = np.zeros((d, d))
-    cy_s = np.zeros((d, d))
-    for j, k in edge_list(d):
-        a, b, g, dl = params.coupling_block(j, k)
-        # for node k the neighbor is j (j < k, sign -1); for node j it is k (+1)
-        for node, other, h in ((k, j, -1.0), (j, k, +1.0)):
-            cx_c[node, other] += a + g
-            cx_s[node, other] += dl - h * b
-            cy_c[node, other] += h * b + dl
-            cy_s[node, other] += a - g
-    return cx_c, cx_s, cy_c, cy_s
+    jj, kk = _edge_index_arrays(d)
+    a, b, g, dl = params.phi[coupling_coords(d)].T
+    rows = np.zeros((d, 2, 2 * d))
+    # for node k the neighbor is j (j < k, sign -1); for node j it is k (+1)
+    for node, other, h in ((kk, jj, -1.0), (jj, kk, +1.0)):
+        rows[node, 0, other] += a + g
+        rows[node, 0, d + other] += dl - h * b
+        rows[node, 1, other] += h * b + dl
+        rows[node, 1, d + other] += a - g
+    return rows, params.phi[: 2 * d].reshape(d, 2)
 
 
 def conditional_von_mises(params, k, x_rest):
@@ -94,12 +89,12 @@ def conditional_von_mises(params, k, x_rest):
         raise DomainError(f"node index {k} out of range for d={d}")
     if x_rest.shape != (d - 1,):
         raise DomainError(f"x_rest must have length {d - 1}")
-    cx_c, cx_s, cy_c, cy_s = _conditional_coefficients(params)
-    # x_k itself meets only the zero diagonal of the coefficient matrices
+    (cx, cy), (bias_x, bias_y) = (t[k] for t in _conditional_coefficients(params))
+    # x_k itself meets only the zero columns of its own rows
     x = np.insert(x_rest, k, 0.0)
     c, s = np.cos(x), np.sin(x)
-    bx = params.phi[2 * k] + cx_c[k] @ c + cx_s[k] @ s
-    by = params.phi[2 * k + 1] + cy_c[k] @ c + cy_s[k] @ s
+    bx = bias_x + cx[:d] @ c + cx[d:] @ s
+    by = bias_y + cy[:d] @ c + cy[d:] @ s
     amp = float(np.hypot(bx, by))
     if amp == 0.0:
         return 0.0, 0.0
@@ -134,9 +129,9 @@ def gibbs_sample(params, cfg):
         x = np.atleast_1d(x).copy()
         if x.shape != (d,):
             raise DomainError(f"init must have length {d}")
-    cx_c, cx_s, cy_c, cy_s = _conditional_coefficients(params)
-    k1 = params.phi[0 : 2 * d : 2]
-    k2 = params.phi[1 : 2 * d : 2]
+    rows, bias = _conditional_coefficients(params)
+    cx_c, cx_s, cy_c, cy_s = rows[:, 0, :d], rows[:, 0, d:], rows[:, 1, :d], rows[:, 1, d:]
+    k1, k2 = bias.T
     cos_x = np.cos(x)
     sin_x = np.sin(x)
     out = np.empty((cfg.n_samples, d))
@@ -163,9 +158,9 @@ def gibbs_sample(params, cfg):
 def _chain_conditionals(weights, bias, cs):
     """Von Mises (mean, concentration) of one node in every chain.
 
-    ``weights`` (C, 2, 2d) holds each chain's rows (cx_c | cx_s) and
-    (cy_c | cy_s) for the node, ``bias`` (C, 2) its (phi_k1, phi_k2), and
-    ``cs`` (C, 2d) each chain's state as (cos x | sin x).
+    ``weights`` (C, 2, 2d) and ``bias`` (C, 2) hold the node's rows and bias
+    of :func:`_conditional_coefficients` in each chain, and ``cs`` (C, 2d)
+    each chain's state as (cos x | sin x).
     """
     b = np.matmul(weights, cs[:, :, None])[:, :, 0] + bias
     return np.arctan2(b[:, 1], b[:, 0]), np.hypot(b[:, 0], b[:, 1])
@@ -194,14 +189,9 @@ def gibbs_sample_chains(params_list, cfg):
     C = len(params_list)
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.0, 2.0 * np.pi, size=(C, d))
-    # weights[k, c] = node k's (2, 2d) coefficient rows in chain c
-    weights = np.empty((d, C, 2, 2 * d))
-    bias = np.empty((d, C, 2))
-    for c, params in enumerate(params_list):
-        cx_c, cx_s, cy_c, cy_s = _conditional_coefficients(params)
-        weights[:, c, 0] = np.hstack([cx_c, cx_s])
-        weights[:, c, 1] = np.hstack([cy_c, cy_s])
-        bias[:, c] = params.phi[: 2 * d].reshape(d, 2)
+    # weights[k, c] = node k's (2, 2d) coefficient rows in chain c, bias[k, c] its bias
+    weights, bias = (np.stack(t, axis=1)
+                     for t in zip(*(_conditional_coefficients(p) for p in params_list)))
     cs = np.hstack([np.cos(x), np.sin(x)])
     out = np.empty((C, cfg.n_samples, d))
     kept = 0

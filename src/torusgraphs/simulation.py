@@ -21,7 +21,7 @@ from .circular import von_mises_sample, wrap_angle
 from .estimation import fit_closed_form
 from .exceptions import DomainError, SchemaError, add_context
 from .inference import asymptotic_cov, correct_pvalues, edge_tests, plv_tests
-from .model import Family, TorusGraphParams, coupling_coords, edge_list, param_dim
+from .model import Family, TorusGraphParams, _edge_index_arrays, coupling_coords, param_dim
 from .sampling import GibbsConfig, gibbs_sample, gibbs_sample_chains
 
 FPR_GRID_SIZE = 512
@@ -95,8 +95,8 @@ def gen_chain(N, d, xi, kappa1, kappa_eps, contam=(0, 1.0), seed=0):
     contam_count, contam_kappa = int(contam[0]), float(contam[1])
     if d < 2:
         raise DomainError("chain needs d >= 2")
-    if contam_count > N:
-        raise DomainError("contaminated trial count exceeds N")
+    if not 0 <= contam_count <= N:
+        raise DomainError(f"contaminated trial count must be in [0, N={N}], got {contam_count}")
     rng = np.random.default_rng(seed)
     X = np.empty((N, d))
     X[:, 0] = von_mises_sample(0.0, kappa1, N, rng)
@@ -141,21 +141,20 @@ def gen_random_torus_graph(d, edge_density, coupling_scale=1.0, seed=0, marginal
     if not 0 < edge_density <= 1:
         raise DomainError("edge density must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    pairs = edge_list(d)
-    n_edges = int(np.ceil(edge_density * len(pairs)))
-    chosen = rng.choice(len(pairs), size=n_edges, replace=False)
+    jj, kk = _edge_index_arrays(d)
+    n_edges = int(np.ceil(edge_density * jj.size))
+    chosen = rng.choice(jj.size, size=n_edges, replace=False)
     phi = np.zeros(param_dim(d))
     if marginal_kappa > 0:
         mus = rng.uniform(0, 2 * np.pi, d)
         phi[0 : 2 * d : 2] = marginal_kappa * np.cos(mus)
         phi[1 : 2 * d : 2] = marginal_kappa * np.sin(mus)
-    rotational = coupling_coords(d)[:, :2]
-    for t in chosen:
-        angle = rng.uniform(0, 2 * np.pi)
-        phi[rotational[t]] = coupling_scale * np.cos(angle), coupling_scale * np.sin(angle)
+    angle = rng.uniform(0, 2 * np.pi, n_edges)
+    phi[coupling_coords(d)[chosen, :2]] = np.column_stack(
+        [coupling_scale * np.cos(angle), coupling_scale * np.sin(angle)])
     family = Family.PHASE_DIFF if marginal_kappa > 0 else Family.UNIFORM_PHASE_DIFF
     params = TorusGraphParams(d=d, phi=phi, family=family)
-    truth = TruthGraph(d=d, edges=frozenset(pairs[t] for t in chosen))
+    truth = TruthGraph(d=d, edges=frozenset(zip(jj[chosen].tolist(), kk[chosen].tolist())))
     return params, truth
 
 
@@ -177,6 +176,16 @@ def _generator_options(kind):
     return required, optional
 
 
+def _is_integer(value):
+    """An integer that is not a boolean (JSON true/false parse as bool)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """A JSON number: an integer or a float, not a boolean."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Declarative generator description used by the benchmark harness.
@@ -186,8 +195,10 @@ class GeneratorSpec:
     plus for "random" an optional ``gibbs`` object with integer ``burn_in``
     (>= 0, default 500) and ``thin`` (>= 1, default 2). A kind with a
     dimension option ``d`` needs an integer d >= 2, so that there is at least
-    one pair to score. A missing or unknown option and a malformed ``gibbs``
-    are SchemaError, an out-of-range value DomainError.
+    one pair to score. Every other option is a number (not a boolean), except
+    ``contam``: a pair of an integer count and a number, stored as a tuple. A
+    missing or unknown option, a value of the wrong type and a malformed
+    ``gibbs`` are SchemaError, an out-of-range value DomainError.
     """
 
     kind: str
@@ -204,18 +215,29 @@ class GeneratorSpec:
         if missing or unknown:
             raise SchemaError(f"generator {self.kind!r}: missing options {missing}, "
                               f"unknown options {unknown}")
+        for key, value in self.options.items():
+            if key == "contam":
+                if not (isinstance(value, (list, tuple)) and len(value) == 2
+                        and _is_integer(value[0]) and _is_number(value[1])):
+                    raise SchemaError("generator option 'contam' must be [count, kappa], an "
+                                      f"integer and a number, got {value!r}")
+            elif key not in ("d", "gibbs") and not _is_number(value):
+                raise SchemaError(f"generator option {key!r} must be a number, got {value!r}")
+        if "contam" in self.options:
+            object.__setattr__(self, "options", {**self.options,
+                                                 "contam": tuple(self.options["contam"])})
         gibbs = self.options.get("gibbs", {}) if self.kind == "random" else {}
         if not isinstance(gibbs, dict) or gibbs.keys() - {"burn_in", "thin"}:
             raise SchemaError("generator option 'gibbs' must be an object with keys among "
                               "['burn_in', 'thin']")
         for key, value in gibbs.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise SchemaError(f"field {key!r} has the wrong type")
         if gibbs.get("burn_in", 0) < 0 or gibbs.get("thin", 1) < 1:
             raise DomainError(f"gibbs needs burn_in >= 0 and thin >= 1, got {gibbs!r}")
         if "d" in self.options:
             d = self.options["d"]
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+            if not _is_integer(d) or d < 2:
                 raise DomainError(f"generator {self.kind!r} needs an integer d >= 2, got {d!r}")
 
     def generate(self, N, seed):

@@ -1,7 +1,9 @@
 """Per-sample derivatives of the sufficient statistics, for the tests.
 
 ``jacobian_D`` and ``gamma_H_of_sample`` give the dense per-sample definition
-of the score-matching moments, Gamma(x) = D D^T and H(x) = [S1, 2 S2].
+of the score-matching moments, Gamma(x) = D D^T and H(x) = [S1, 2 S2], and
+``gamma_hat`` assembles the full 2d^2-square Gamma_hat of the package's node
+blocks, which no package path builds beyond the active block it factors.
 ``_h_rows`` and ``_stat_chunks`` are the chunk helpers the former moment and
 sandwich routines (kept as oracles) were written with. All of them are built
 from the package's derivative table and statistics, so the finite-difference
@@ -46,3 +48,10 @@ def gamma_H_of_sample(x):
     x = np.asarray(x, dtype=float)
     D = jacobian_D(x)
     return D @ D.T, _h_rows(suff_stats_batch(x), x.size)[0]
+
+
+def gamma_hat(moments):
+    """The full 2d^2-square Gamma_hat of ScoreMatchingMoments (read-only)."""
+    G = moments.gamma_block(np.arange(moments.h_hat.size))
+    G.flags.writeable = False
+    return G

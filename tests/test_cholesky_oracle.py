@@ -21,6 +21,7 @@ from torusgraphs.inference import asymptotic_cov
 from torusgraphs.model import Family, TorusGraphParams, param_dim
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 
+from derivative_oracle import gamma_hat
 
 def _checked_cholesky(G, n, m_total):
     """Cholesky factor (for scipy.linalg.cho_solve) of a moment block, with a
@@ -71,7 +72,7 @@ def test_bitwise_equal_to_copying_cholesky(monkeypatch, d, family):
 def test_factors_in_place():
     d = 12
     X = coupled_sample(d, 5 * param_dim(d), seed=440)
-    G = accumulate_moments(X).gamma_hat.copy()
+    G = gamma_hat(accumulate_moments(X)).copy()
     tracemalloc.start()
     try:
         estimation._checked_cholesky(G, X.shape[0], param_dim(d))

@@ -488,3 +488,53 @@ class TestExitCodes:
         save_model(model, TorusGraphParams(d=3, phi=np.zeros(18)))
         assert main(["test", str(data), "--model", str(model),
                      "--out", str(tmp_path / "g.json")]) == 3
+
+    @pytest.mark.parametrize("kind,option,value,message", [
+        ("chain", "contam", 5, "option 'contam' must be [count, kappa]"),
+        ("chain", "contam", [5], "option 'contam' must be [count, kappa]"),
+        ("chain", "contam", ["a", 1], "option 'contam' must be [count, kappa]"),
+        ("chain", "contam", [5, 0.1, 3], "option 'contam' must be [count, kappa]"),
+        ("chain", "contam", [True, 0.1], "option 'contam' must be [count, kappa]"),
+        ("chain", "contam", [5.0, 0.1], "option 'contam' must be [count, kappa]"),
+        ("chain", "xi", "a", "option 'xi' must be a number"),
+        ("chain", "kappa1", False, "option 'kappa1' must be a number"),
+        ("random", "edge_density", "x", "option 'edge_density' must be a number"),
+        ("random", "coupling_scale", None, "option 'coupling_scale' must be a number"),
+    ], ids=["contam-int", "contam-1", "contam-str", "contam-3", "contam-bool-count",
+            "contam-float-count", "xi-str", "kappa1-bool", "density-str", "scale-null"])
+    def test_schema_error_generator_option_type(self, tmp_path, capsys, monkeypatch, kind,
+                                                option, value, message):
+        # each of these crashed in replicate 0, or (a 3-entry contam) ran silently
+        draws = _count_generate(monkeypatch)
+        cfg = _bench_config(tmp_path, kind)
+        doc = json.loads(cfg.read_text())
+        doc["generator"][option] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert draws == [0]
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_domain_error_bad_delimiter(self, tmp_path, capsys, delimiter):
+        data = tmp_path / "d.csv"
+        save_samples_csv(data, np.random.default_rng(4).uniform(0, 2 * np.pi, size=(60, 3)))
+        assert main(["fit", str(data), "--delimiter", delimiter,
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "delimiter must be exactly one character" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("groups,message", [
+        ({"A": [0, 1], "B": [1, 2]}, "groups 'A' and 'B' share channel 1"),
+        ({"A": [True, 0], "B": [2]}, "group 'A' must list integer channel indices"),
+    ], ids=["overlapping", "boolean-index"])
+    def test_schema_error_bad_groups(self, tmp_path, capsys, groups, message):
+        from torusgraphs.io import save_model
+
+        data = tmp_path / "d.csv"
+        save_samples_csv(data, np.random.default_rng(5).uniform(0, 2 * np.pi, size=(200, 3)))
+        model = tmp_path / "m.json"
+        save_model(model, TorusGraphParams(d=3, phi=np.zeros(18)))
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps({"schema_version": 1, "groups": groups}))
+        assert main(["region-test", str(data), "--model", str(model), "--groups", str(path)]) == 1
+        assert message in capsys.readouterr().err

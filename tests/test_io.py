@@ -84,6 +84,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(f)
 
+    @pytest.mark.parametrize("delimiter", [";;", "", None, 5])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        f = tmp_path / "d.csv"
+        f.write_text("0.1,0.2\n0.3,0.4\n")
+        with pytest.raises(ParseError, match="delimiter must be exactly one character"):
+            load_csv(f, delimiter=delimiter)
+
+    def test_one_character_delimiter(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a;b\n0.1;0.2\n")
+        assert load_csv(f, delimiter=";").channel_names == ("a", "b")
+
     def test_samples_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 2 * np.pi, size=(20, 3))
@@ -177,6 +189,23 @@ class TestGroupsAndConfig:
         with pytest.raises(SchemaError):
             load_groups(f)
 
+    @pytest.mark.parametrize("groups,message", [
+        ({"A": [0, 1], "B": [1, 2]}, "groups 'A' and 'B' share channel 1; groups must be disjoint"),
+        ({"A": [0], "B": [2], "C": [3, 0]}, "groups 'A' and 'C' share channel 0"),
+        ({"A": [True, 0], "B": [2]}, "group 'A' must list integer channel indices"),
+        ({"A": [0, False]}, "group 'A' must list integer channel indices"),
+    ], ids=["overlap", "overlap-later", "true-index", "false-index"])
+    def test_groups_disjoint_integer_indices(self, tmp_path, groups, message):
+        f = tmp_path / "groups.json"
+        f.write_text(json.dumps({"schema_version": 1, "groups": groups}))
+        with pytest.raises(SchemaError, match=message):
+            load_groups(f)
+
+    def test_groups_repeat_within_one_group_is_kept(self, tmp_path):
+        f = tmp_path / "groups.json"
+        f.write_text(json.dumps({"schema_version": 1, "groups": {"A": [0, 0], "B": [1]}}))
+        assert load_groups(f) == {"A": [0, 0], "B": [1]}
+
     def test_experiment_config(self, tmp_path):
         f = tmp_path / "exp.json"
         f.write_text(
@@ -198,6 +227,21 @@ class TestGroupsAndConfig:
         assert spec.kind == "chain"
         assert spec.options["contam"] == (15, 0.1)
         assert settings["n_reps"] == 3 and settings["methods"] == ["torus"]
+
+    @pytest.mark.parametrize("option,value", [
+        ("contam", 5), ("contam", [5]), ("contam", ["a", 1]), ("contam", [5, 0.1, 3]),
+        ("contam", [5, True]), ("xi", "a"), ("kappa_eps", True),
+    ], ids=["contam-int", "contam-1", "contam-str", "contam-3", "contam-bool-kappa", "xi-str",
+            "kappa-eps-bool"])
+    def test_config_option_type_errors(self, tmp_path, option, value):
+        generator = {"kind": "chain", "d": 5, "xi": 0.0314, "kappa1": 0.01, "kappa_eps": 40.0,
+                     option: value}
+        f = tmp_path / "exp.json"
+        f.write_text(json.dumps({"schema_version": 1, "generator": generator, "n_reps": 3,
+                                 "N": 100, "alpha": 0.001, "correction": "bonferroni",
+                                 "seed": 7}))
+        with pytest.raises(SchemaError, match=f"generator option {option!r} must be"):
+            load_experiment_config(f)
 
     def test_config_schema_errors(self, tmp_path):
         f = tmp_path / "exp.json"

@@ -37,6 +37,8 @@ from torusgraphs.model import Family, TorusGraphParams, coupling_slice, edge_lis
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
+from derivative_oracle import gamma_hat
+
 PHI_ATOL = 1e-5
 LOSS_ATOL = 1e-6
 LOSS_RTOL = 1e-7
@@ -55,6 +57,11 @@ class DenseMoments:
     @property
     def d(self):
         return int(round(np.sqrt(self.gamma_hat.shape[0] / 2)))
+
+
+def dense_gamma(moments):
+    """Gamma_hat of a DenseMoments record or of the package's node-block moments."""
+    return moments.gamma_hat if isinstance(moments, DenseMoments) else gamma_hat(moments)
 
 
 def fit_group_lasso(
@@ -81,7 +88,7 @@ def fit_group_lasso(
     d = moments.d
     family = Family(family)
     idx = _active_indices(d, family, zero_edges)
-    G = moments.gamma_hat[np.ix_(idx, idx)]
+    G = dense_gamma(moments)[np.ix_(idx, idx)]
     b = moments.h_hat[idx]
     blocks = _penalized_blocks(d, idx)
 
@@ -172,7 +179,7 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     for f in range(folds):
         held = fold_moments[f]
         n_train = n - held.n
-        g_train = sum(fm.gamma_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
+        g_train = sum(gamma_hat(fm) * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
         h_train = sum(fm.h_hat * fm.n for i, fm in enumerate(fold_moments) if i != f) / n_train
         train = DenseMoments(gamma_hat=g_train, h_hat=h_train, n=n_train)
         for gi, lam in enumerate(grid):

@@ -6,10 +6,12 @@ the local ``DenseMoments`` record: every 256-row chunk is scattered into a
 dense 2d^2-square Gamma and the chunk matrices are tree-reduced. The package
 keeps one (4d - 2)-square Gram block per node instead; Gamma products, the
 blocks it assembles and the coefficients solved from them must agree with
-the oracle to 1e-12 absolute, and no package path may read the assembled
-``gamma_hat``.
+the oracle to 1e-12 absolute, and no package path may assemble the full
+Gamma_hat (a ``gamma_block`` of every coordinate) other than as the active
+block that a fit, a lasso system or a sandwich factors where it is made.
 """
 
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -38,7 +40,7 @@ from torusgraphs.model import Family, TorusGraphParams, _derivative_table, edge_
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
-from derivative_oracle import _h_rows, _stat_chunks
+from derivative_oracle import _h_rows, _stat_chunks, gamma_hat
 
 ATOL = 1e-12
 
@@ -124,7 +126,7 @@ def test_moments_match_dense(d, n):
     ref = accumulate_moments(X)
     assert moments.n == ref.n == n
     assert moments.blocks.shape == (d, 4 * d - 2, 4 * d - 2)
-    np.testing.assert_allclose(moments.gamma_hat, ref.gamma_hat, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(gamma_hat(moments), ref.gamma_hat, rtol=0, atol=ATOL)
     np.testing.assert_allclose(moments.h_hat, ref.h_hat, rtol=0, atol=ATOL)
 
 
@@ -199,17 +201,27 @@ def test_no_full_gamma_allocated(d, n):
     assert _peak_bytes(estimation.fit_closed_form, X) < 2 * full
 
 
+# the functions that factor or solve the active block they assemble; under the
+# full family with no zeroed edge that block has every coordinate
+FACTORING = {"fit_closed_form", "_lasso_system", "asymptotic_cov"}
+
+
 @pytest.fixture
 def no_gamma_hat(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the full Gamma_hat was assembled")
+    inner = ScoreMatchingMoments.gamma_block
 
-    monkeypatch.setattr(ScoreMatchingMoments, "gamma_hat", property(refuse))
+    def guarded(self, coords):
+        full = np.asarray(coords).size == self.h_hat.size
+        if full and sys._getframe(1).f_code.co_name not in FACTORING:
+            raise AssertionError("the full Gamma_hat was assembled")
+        return inner(self, coords)
+
+    monkeypatch.setattr(ScoreMatchingMoments, "gamma_block", guarded)
 
 
 def test_gamma_hat_guard_raises(no_gamma_hat):
     with pytest.raises(AssertionError):
-        estimation.accumulate_moments(coupled_sample(2, 50, seed=490)).gamma_hat
+        gamma_hat(estimation.accumulate_moments(coupled_sample(2, 50, seed=490)))
 
 
 def test_library_paths_never_assemble_gamma(no_gamma_hat):

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import torusgraphs.circular
 import torusgraphs.model
 from torusgraphs import io as tgio
 from torusgraphs.circular import chi2_sf, circular_mean_resultant, wrap_angle
@@ -338,17 +337,14 @@ def test_plv_tests_match_pair_loop(data):
         assert_same_tests(new, old)
 
 
-def test_one_resultant_per_plv_pair(monkeypatch):
-    calls = []
-
-    def counting(angles):
-        calls.append(None)
-        return circular_mean_resultant(angles)
-
-    monkeypatch.setattr(torusgraphs.circular, "circular_mean_resultant", counting)
-    tests = plv_tests(chain_sample(5, 300, seed=5))
+def test_plv_tests_equal_pair_loop_on_chain_and_without_pairs():
+    X = chain_sample(5, 300, seed=5)
+    tests = plv_tests(X)
     assert len(tests) == 10
-    assert len(calls) == 10
+    assert_same_tests(tests, _plv_test_loop(X))
+    # d = 1 has no pair, so no Rayleigh test runs and no N is too small
+    for n in (0, 1, 2):
+        assert plv_tests(np.zeros((n, 1))) == _plv_test_loop(np.zeros((n, 1))) == []
 
 
 # ---- the CLI writes the oracle's graphs ------------------------------------

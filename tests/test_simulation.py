@@ -179,6 +179,33 @@ class TestGeneratorSpec:
             GeneratorSpec(kind=kind, options=options)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("kind,options,message", [
+        ("chain", {"contam": 5}, "generator option 'contam' must be [count, kappa], an integer "
+                                 "and a number, got 5"),
+        ("chain", {"contam": (3, "x")}, "generator option 'contam' must be [count, kappa]"),
+        ("chain", {"contam": (np.int64(3), 0.1, 1)}, "generator option 'contam' must be"),
+        ("chain", {"xi": "a"}, "generator option 'xi' must be a number, got 'a'"),
+        ("random", {"edge_density": True}, "generator option 'edge_density' must be a number"),
+        ("random", {"marginal_kappa": [1.0]}, "generator option 'marginal_kappa' must be a number"),
+    ], ids=["contam-int", "contam-str-kappa", "contam-3", "xi-str", "density-bool", "kappa-list"])
+    def test_bad_option_types_raise_at_construction(self, kind, options, message):
+        base = {"chain": {"d": 4, "xi": 0.1, "kappa1": 0.1, "kappa_eps": 10.0},
+                "random": {"d": 3, "edge_density": 0.5}}[kind]
+        with pytest.raises(SchemaError) as info:
+            GeneratorSpec(kind=kind, options={**base, **options})
+        assert str(info.value).startswith(message)
+
+    def test_contam_normalized_to_tuple(self):
+        options = {"d": 4, "xi": 0.1, "kappa1": 0.1, "kappa_eps": 10.0, "contam": [2, 0.5]}
+        spec = GeneratorSpec(kind="chain", options=options)
+        assert spec.options["contam"] == (2, 0.5)
+        assert options["contam"] == [2, 0.5]  # the caller's dict is left alone
+        assert GeneratorSpec(kind="chain", options={**options, "contam": (np.int64(2), 1)})
+
+    def test_negative_contamination_count(self):
+        with pytest.raises(DomainError, match="must be in \\[0, N=10\\], got -1"):
+            gen_chain(N=10, d=3, xi=0.0, kappa1=1.0, kappa_eps=1.0, contam=(-1, 0.1))
+
     def test_gibbs_settings_used(self):
         spec = GeneratorSpec(kind="random", options={"d": 3, "edge_density": 0.5,
                                                      "gibbs": {"burn_in": 10, "thin": 3}})
