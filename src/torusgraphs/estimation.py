@@ -13,9 +13,11 @@ the statistics themselves (:func:`torusgraphs.model._derivative_table`): only
 the 4d - 2 coordinates touching node l are nonzero, so Gamma_hat is a sum over
 nodes of (4d - 2)-square Gram blocks B_l = A_l' A_l / N placed on those
 coordinates, O(N d^3) work. The moments keep the d blocks, not the 2d^2-square
-Gamma_hat: a product with Gamma_hat is one batched product over the blocks,
-and the only dense Gamma the package builds is the block on a fit's active
-coordinates, made fresh where it is factored. One walk over the data
+Gamma_hat: a product with Gamma_hat, or with its restriction to a fit's active
+coordinates, is one batched product over the blocks (:class:`GammaOperator`),
+O(d^3). The only dense Gamma the package builds is the active block that the
+closed-form fit and the sandwich covariance factor, made fresh where it is
+factored; the group lasso works through products alone. One walk over the data
 (:func:`_derivative_walk`) feeds each node's derivative rows both to the Gram
 blocks and to the sandwich covariance's residual rows, so a test reads each
 data row once.
@@ -23,9 +25,12 @@ data row once.
 Affine submodels are handled by index deletion (rows/columns of masked
 coordinates are dropped and the solution re-embedded with exact zeros). The
 sparse variant adds a group penalty on each coupling block, solved by
-proximal gradient with group soft-thresholding and backtracking.
+proximal gradient with group soft-thresholding and backtracking, from a
+step size set by the largest eigenvalue of the active Gamma, which ARPACK's
+Lanczos iteration finds from products with the operator.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +55,31 @@ _LASSO_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
+class GammaOperator:
+    """Gamma_hat on a set of m coordinates, applied through the node blocks.
+
+    ``G @ v`` for a length-m vector v is sum_l P_l' B_l P_l v, one batched
+    product over the blocks, O(d^3) work with no m-square array. ``blocks``
+    is (d, w, w) and ``position`` (d, w): node l's block restricted to its
+    coordinates in the set, and their places in v. A node with fewer than w
+    of them is padded with zero rows and columns at position 0, which add
+    nothing.
+    """
+
+    blocks: np.ndarray
+    position: np.ndarray
+    size: int
+
+    @property
+    def shape(self):
+        return (self.size, self.size)
+
+    def __matmul__(self, v):
+        out = np.matmul(self.blocks, v[self.position][:, :, None])
+        return np.bincount(self.position.ravel(), weights=out.ravel(), minlength=self.size)
+
+
+@dataclass(frozen=True)
 class ScoreMatchingMoments:
     """Empirical moments, held by node.
 
@@ -57,8 +87,9 @@ class ScoreMatchingMoments:
     matrix of the derivatives with respect to x_l of the 4d - 2 statistics
     that depend on it (their coordinates are row l of
     ``model._derivative_table(d)[0]``). Gamma_hat is the sum of the blocks
-    placed on those coordinates; it is applied by :meth:`gamma_dot` and
-    assembled on a coordinate subset by :meth:`gamma_block`. ``h_hat`` is
+    placed on those coordinates; it is applied by :meth:`gamma_dot`, applied
+    on a coordinate subset by :meth:`gamma_operator` and assembled on one by
+    :meth:`gamma_block`. ``h_hat`` is
     (2d^2,), and ``n`` the sample count the moments average over.
     """
 
@@ -86,9 +117,27 @@ class ScoreMatchingMoments:
         v = np.asarray(v, dtype=float)
         if v.shape != self.h_hat.shape:
             raise DomainError("vector does not match the moment dimension")
-        idx = _derivative_table(self.d)[0]
-        out = np.matmul(self.blocks, v[idx][:, :, None])[:, :, 0]
-        return np.bincount(idx.ravel(), weights=out.ravel(), minlength=v.size)
+        return self.gamma_operator(np.arange(v.size)) @ v
+
+    def gamma_operator(self, coords):
+        """Gamma_hat restricted to ``coords`` (distinct coordinates) as a
+        :class:`GammaOperator`. The blocks are shared when every coordinate of
+        every block is in the set, and otherwise gathered once here."""
+        coords = np.asarray(coords, dtype=int)
+        pos = -np.ones(self.h_hat.size, dtype=int)
+        pos[coords] = np.arange(coords.size)
+        table = pos[_derivative_table(self.d)[0]]
+        kept = table >= 0
+        if kept.all():
+            return GammaOperator(self.blocks, table, coords.size)
+        # each node's kept columns first, in their order, then the padding
+        order = np.argsort(~kept, axis=1, kind="stable")[:, : kept.sum(axis=1).max()]
+        valid = np.take_along_axis(kept, order, axis=1)
+        nodes = np.arange(self.d)[:, None, None]
+        blocks = self.blocks[nodes, order[:, :, None], order[:, None, :]]
+        blocks *= valid[:, :, None] & valid[:, None, :]
+        position = np.where(valid, np.take_along_axis(table, order, axis=1), 0)
+        return GammaOperator(blocks, position, coords.size)
 
     def gamma_block(self, coords):
         """Gamma_hat restricted to ``coords`` (distinct coordinates), as a new
@@ -296,20 +345,19 @@ def _penalized_blocks(d, idx):
     return blocks[:, (blocks >= 0).any(axis=0)]
 
 
-def _block_norms(phi, blocks):
-    if blocks.size == 0:
-        return np.zeros(0)
-    return np.linalg.norm(phi[blocks], axis=1)
-
-
 def _group_soft_threshold(phi, blocks, shrink):
+    """Shrink the 2-norm of each block of ``phi`` by ``shrink``, to zero
+    below it, in place. Returns phi and the sum of the shrunk norms (each
+    block's norm times its scale), the group penalty of the result over its
+    weight."""
     if blocks.size == 0:
-        return phi
+        return phi, 0.0
     vals = phi[blocks]
-    norms = np.linalg.norm(vals, axis=1)
-    scale = np.where(norms > shrink, 1.0 - shrink / np.where(norms > 0, norms, 1.0), 0.0)
+    norms = np.sqrt(np.add.reduce(vals * vals, axis=1))  # np.linalg.norm's own sum
+    kept = norms > shrink  # so norms > 0 wherever it divides
+    scale = np.where(kept, 1.0 - shrink / np.where(kept, norms, 1.0), 0.0)
     phi[blocks] = vals * scale[:, None]
-    return phi
+    return phi, float(norms @ scale)
 
 
 def _check_penalty(lam):
@@ -319,16 +367,36 @@ def _check_penalty(lam):
     return lam
 
 
+def _largest_eigenvalue(G):
+    """Largest eigenvalue of a nonempty symmetric operator: by ARPACK's
+    Lanczos iteration from the all-ones start vector (so the result is
+    reproducible), or, for 2 coordinates or fewer, where ARPACK does not
+    apply, from the matrix itself, read off G's products with the unit
+    vectors."""
+    m = G.shape[0]
+    if m > 2:
+        from scipy.sparse.linalg import LinearOperator, eigsh  # only the lasso needs it
+
+        op = LinearOperator(G.shape, matvec=G.__matmul__, dtype=float)
+        return float(eigsh(op, k=1, which="LA", v0=np.ones(m), return_eigenvectors=False)[0])
+    cols = [G @ e for e in np.eye(m)]
+    if m == 1:
+        return float(cols[0][0])
+    half_sum, half_diff = 0.5 * (cols[0][0] + cols[1][1]), 0.5 * (cols[0][0] - cols[1][1])
+    return float(half_sum + np.hypot(half_diff, cols[0][1]))
+
+
 def _lasso_system(moments, family, zero_edges):
     """The penalized problem on the family's active coordinates: their
-    indices, the Gamma block and H restricted to them, the penalty blocks and
-    the initial step 1 / lambda_max(Gamma block). The step depends on the
-    moments only, so one eigvalsh serves every penalty weight."""
+    indices, the Gamma operator and H restricted to them, the penalty blocks
+    and the initial step 1 / lambda_max(Gamma). The step depends on the
+    moments only, so one eigenvalue computation serves every penalty
+    weight."""
     d = moments.d
     idx = _active_indices(d, family, zero_edges)
-    G = moments.gamma_block(idx)
+    G = moments.gamma_operator(idx)
     b = moments.h_hat[idx]
-    lipschitz = float(np.linalg.eigvalsh(G)[-1]) if idx.size else 1.0
+    lipschitz = _largest_eigenvalue(G) if idx.size else 1.0
     return idx, G, b, _penalized_blocks(d, idx), 1.0 / max(lipschitz, 1e-12)
 
 
@@ -337,8 +405,9 @@ def _fista(G, b, blocks, lam, step, tol):
 
     Accelerated proximal gradient with function-value restart: the momentum
     sequence is reset whenever the objective rises, which keeps the method
-    monotone on these often very ill-conditioned quadratics. Each step makes
-    two products with G: G y gives the gradient and the smooth part at y, and
+    monotone on these often very ill-conditioned quadratics. G is a
+    :class:`GammaOperator`. Each step makes two products with it: G y gives
+    the gradient and the smooth part at y, and
     G cand, one per backtracking trial, gives the smooth part at the
     candidate, which the objective reuses. Both are fresh products of the
     same kind because the backtracking test compares the two smooth parts
@@ -358,7 +427,7 @@ def _fista(G, b, blocks, lam, step, tol):
         grad = Gy - b
         smooth_y = smooth(y, Gy)
         while True:
-            cand = _group_soft_threshold(y - step * grad, blocks, lam * step)
+            cand, penalty = _group_soft_threshold(y - step * grad, blocks, lam * step)
             smooth_cand = smooth(cand, G @ cand)
             delta = cand - y
             if smooth_cand <= smooth_y + grad @ delta + (delta @ delta) / (2 * step) + 1e-15:
@@ -366,7 +435,7 @@ def _fista(G, b, blocks, lam, step, tol):
             step *= 0.5
             if step < 1e-18:
                 raise ConvergenceError("backtracking line search underflow")
-        new_obj = smooth_cand + lam * float(_block_norms(cand, blocks).sum())
+        new_obj = smooth_cand + lam * penalty
         if new_obj > obj and t > 1.0:
             # momentum overshoot: restart from the last accepted point (a
             # pure gradient step cannot increase the objective, so this
@@ -374,10 +443,11 @@ def _fista(G, b, blocks, lam, step, tol):
             y = phi.copy()
             t = 1.0
             continue
-        max_move = float(np.max(np.abs(cand - phi))) if cand.size else 0.0
+        move = cand - phi
+        max_move = float(np.abs(move).max()) if cand.size else 0.0
         converged = abs(obj - new_obj) <= tol * max(1.0, abs(obj)) and max_move < 1e-8
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = cand + ((t - 1.0) / t_next) * (cand - phi)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = cand + ((t - 1.0) / t_next) * move
         t = t_next
         phi = cand
         obj = new_obj

@@ -50,6 +50,8 @@ MODE_REFLECTIONAL = "refl"
 CORRECTION_NONE = "none"
 CORRECTION_BONFERRONI = "bonferroni"
 
+_PLV_PAIRS = 256
+
 
 @dataclass(frozen=True)
 class SandwichCov:
@@ -189,15 +191,22 @@ def group_edge_test(fit, cov, edges, mode=MODE_FULL):
 def plv_tests(data):
     """Pairwise phase-locking baseline: Rayleigh Z and p-value of every pair's
     wrapped phase difference, in canonical edge order, as EdgeTests of mode
-    "plv" and df 2."""
+    "plv" and df 2. The pairs are reduced 256 at a time (``_PLV_PAIRS``), so
+    no array over all pairs and samples is made."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
     jj, kk = _edge_index_arrays(X.shape[1])
     if not jj.size:
         return []
-    # one contiguous row per pair, so each row sums as the pair's own sample would
-    x2, p = _rayleigh(wrap_angle(X.T[jj] - X.T[kk]), "statistic")
+    XT = np.ascontiguousarray(X.T)
+    x2, p = [], []
+    for start in range(0, jj.size, _PLV_PAIRS):
+        pairs = slice(start, start + _PLV_PAIRS)
+        # one contiguous row per pair, so each row sums as the pair's own sample would
+        z, q = _rayleigh(wrap_angle(XT[jj[pairs]] - XT[kk[pairs]]), "statistic")
+        x2 += z.tolist()
+        p += q.tolist()
     return [EdgeTest(edge=(j, k), x2=s, df=2, p=q, mode="plv")
-            for j, k, s, q in zip(jj.tolist(), kk.tolist(), x2.tolist(), p.tolist())]
+            for j, k, s, q in zip(jj.tolist(), kk.tolist(), x2, p)]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ in :mod:`torusgraphs.margins`).
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,9 +184,18 @@ def suff_stats(x):
     return SufficientStats(full[: 2 * x.size], full[2 * x.size :])
 
 
+def _read_only(*arrays):
+    """The arrays, locked against writes, so that a cache may share them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=32)
 def _edge_index_arrays(d):
-    """First and second nodes of every pair, in canonical edge order."""
-    return np.triu_indices(d, 1)
+    """First and second nodes of every pair, in canonical edge order, as
+    read-only arrays cached by d."""
+    return _read_only(*np.triu_indices(d, 1))
 
 
 def suff_stats_batch(X):
@@ -206,6 +216,7 @@ def suff_stats_batch(X):
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def _derivative_table(d):
     """Derivatives of the sufficient statistics as a signed gather of them.
 
@@ -213,7 +224,8 @@ def _derivative_table(d):
     that depend on x_l, so that dS[:, idx[l]] / dx_l = sign[l] * S[:, src[l]]
     for statistics S of shape (n, 2d^2). Every such coordinate is half of a
     (cos u, sin u) pair with du/dx_l = w = +-1 (-1 only for x_k in x_j - x_k),
-    whose derivatives are (-w sin u, w cos u).
+    whose derivatives are (-w sin u, w cos u). The arrays are read-only and
+    cached by d.
     """
     nodes = np.arange(d)
     jj, kk = _edge_index_arrays(d)
@@ -227,7 +239,7 @@ def _derivative_table(d):
     idx = np.stack([cos_at, cos_at + 1], axis=2).reshape(d, -1)
     src = np.stack([cos_at + 1, cos_at], axis=2).reshape(d, -1)
     sign = np.stack([-w, w], axis=2).reshape(d, -1)
-    return idx, src, sign
+    return _read_only(idx, src, sign)
 
 
 def log_unnorm_density(params, x):

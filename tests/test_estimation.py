@@ -323,11 +323,13 @@ class TestGroupLasso:
         with pytest.raises(DomainError):
             fit_group_lasso(np.zeros((10, 2)), lam=lam)
 
-    def test_one_eigvalsh_per_fit(self, monkeypatch):
+    def test_one_step_size_per_fit(self, monkeypatch):
         X = np.random.default_rng(55).uniform(0, 2 * np.pi, size=(200, 3))
-        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        calls = _count_calls(monkeypatch, estimation, "_largest_eigenvalue")
+        dense = _count_calls(monkeypatch, np.linalg, "eigvalsh")
         fit_group_lasso(X, lam=0.1)
         assert calls == [1]
+        assert dense == [0]
 
 
 class TestSelectLambdaCV:
@@ -393,11 +395,13 @@ class TestSelectLambdaCV:
         np.testing.assert_allclose(refit, ref, rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("folds", [2, 5])
-    def test_one_eigvalsh_per_fold(self, monkeypatch, folds):
+    def test_one_step_size_per_fold(self, monkeypatch, folds):
         X = np.random.default_rng(56).uniform(0, 2 * np.pi, size=(200, 3))
-        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        calls = _count_calls(monkeypatch, estimation, "_largest_eigenvalue")
+        dense = _count_calls(monkeypatch, np.linalg, "eigvalsh")
         select_lambda_cv(X, folds=folds, grid=np.geomspace(1e-3, 1.0, 7), seed=0)
         assert calls == [folds]
+        assert dense == [0]
 
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
     def test_bad_grid_rejected_before_any_fold(self, monkeypatch, bad):

@@ -12,7 +12,11 @@ within the stopping tolerance. So the penalty weight and the support must be the
 coefficients within 1e-5, and held-out losses within 1e-6 absolute plus
 1e-7 relative: ten times the CV solve's relative tolerance of 1e-8.
 The oracle pools its training folds as dense Gamma matrices, held in the
-local ``DenseMoments`` record the package's moments once were.
+local ``DenseMoments`` record the package's moments once were, and keeps its
+own copies of the former block-norm and soft-threshold helpers. The package
+applies Gamma through its node blocks, takes the step size from a Lanczos
+estimate of the largest eigenvalue, and reads each block's penalty off the
+soft threshold.
 """
 
 from dataclasses import dataclass
@@ -26,8 +30,6 @@ from torusgraphs import estimation
 from torusgraphs.estimation import (
     FitResult,
     _active_indices,
-    _block_norms,
-    _group_soft_threshold,
     _penalized_blocks,
     accumulate_moments,
     sm_objective,
@@ -62,6 +64,22 @@ class DenseMoments:
 def dense_gamma(moments):
     """Gamma_hat of a DenseMoments record or of the package's node-block moments."""
     return moments.gamma_hat if isinstance(moments, DenseMoments) else gamma_hat(moments)
+
+
+def _block_norms(phi, blocks):
+    if blocks.size == 0:
+        return np.zeros(0)
+    return np.linalg.norm(phi[blocks], axis=1)
+
+
+def _group_soft_threshold(phi, blocks, shrink):
+    if blocks.size == 0:
+        return phi
+    vals = phi[blocks]
+    norms = np.linalg.norm(vals, axis=1)
+    scale = np.where(norms > shrink, 1.0 - shrink / np.where(norms > 0, norms, 1.0), 0.0)
+    phi[blocks] = vals * scale[:, None]
+    return phi
 
 
 def fit_group_lasso(

@@ -8,7 +8,11 @@ keeps one (4d - 2)-square Gram block per node instead; Gamma products, the
 blocks it assembles and the coefficients solved from them must agree with
 the oracle to 1e-12 absolute, and no package path may assemble the full
 Gamma_hat (a ``gamma_block`` of every coordinate) other than as the active
-block that a fit, a lasso system or a sandwich factors where it is made.
+block that a closed-form fit or a sandwich factors where it is made. The
+group lasso assembles no block: its products with Gamma on the active
+coordinates go through the node blocks and must agree with the assembled
+block's to 1e-12 absolute, and its Lanczos step size with the block's
+largest eigenvalue to 1e-10 relative.
 """
 
 import sys
@@ -28,13 +32,14 @@ from torusgraphs.estimation import (
     ScoreMatchingMoments,
     _active_indices,
     _checked_cholesky,
+    _largest_eigenvalue,
     _pairwise_reduce,
     fit_group_lasso,
     select_lambda_cv,
     sm_objective,
 )
 from torusgraphs.exceptions import DomainError
-from torusgraphs.inference import asymptotic_cov
+from torusgraphs.inference import asymptotic_cov, bootstrap_null_test
 from torusgraphs.io import save_samples_csv
 from torusgraphs.model import Family, TorusGraphParams, _derivative_table, edge_list, param_dim
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
@@ -156,6 +161,30 @@ def test_operator_matches_dense(data):
         np.testing.assert_allclose(G, ref.gamma_hat[np.ix_(coords, coords)], rtol=0, atol=ATOL)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_active_operator_and_step_size_match_block(data):
+    d = data.draw(st.integers(1, 10), label="d")
+    n = data.draw(st.integers(1, 600), label="n")
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    edges = edge_list(d)
+    zero_edges = []
+    if edges:
+        zero_edges = data.draw(st.lists(st.sampled_from(edges), unique=True), label="zero_edges")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    moments = estimation.accumulate_moments(coupled_sample(d, n, seed))
+    rng = np.random.default_rng(seed)
+    idx = _active_indices(d, family, zero_edges)
+    for coords in (idx, rng.permutation(idx)[: max(1, idx.size // 2)]):
+        G, block = moments.gamma_operator(coords), moments.gamma_block(coords)
+        assert G.shape == block.shape
+        v = rng.normal(size=coords.size)
+        np.testing.assert_allclose(G @ v, block @ v, rtol=0, atol=ATOL)
+        if coords.size:
+            np.testing.assert_allclose(_largest_eigenvalue(G), np.linalg.eigvalsh(block)[-1],
+                                       rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize(
     "d, family, zeroed",
     [(d, f, z) for d in (1, 3, 8) for f in Family for z in ((False, True) if d > 1 else (False,))],
@@ -199,11 +228,13 @@ def test_no_full_gamma_allocated(d, n):
     assert _peak_bytes(estimation.accumulate_moments, X) < full
     # the dense active block is the one m x m array, factored where it lies
     assert _peak_bytes(estimation.fit_closed_form, X) < 2 * full
+    # the group lasso makes none: it works through node-block products
+    assert _peak_bytes(estimation.fit_group_lasso, X, lam=0.1) < full
 
 
 # the functions that factor or solve the active block they assemble; under the
 # full family with no zeroed edge that block has every coordinate
-FACTORING = {"fit_closed_form", "_lasso_system", "asymptotic_cov"}
+FACTORING = {"fit_closed_form", "asymptotic_cov"}
 
 
 @pytest.fixture
@@ -230,6 +261,8 @@ def test_library_paths_never_assemble_gamma(no_gamma_hat):
     asymptotic_cov(X, fit.params, moments=fit.moments)
     lam, _ = select_lambda_cv(X, folds=3, grid=[0.01, 0.1], seed=0)
     fit_group_lasso(X, lam=lam)
+    bootstrap_null_test(X[:150], null_edges=[(0, 1)], B=19, folds=2, grid=[0.05, 0.3],
+                        gibbs_burn_in=50)
 
 
 def test_cli_paths_never_assemble_gamma(no_gamma_hat, tmp_path):
@@ -239,3 +272,4 @@ def test_cli_paths_never_assemble_gamma(no_gamma_hat, tmp_path):
     assert main(["fit", str(data), "--out", str(model)]) == 0
     assert main(["test", str(data), "--model", str(model), "--out", str(tmp_path / "g.json")]) == 0
     assert main(["fit", str(data), "--cv", "3", "--grid", "0.01,0.1", "--out", str(model)]) == 0
+    assert main(["fit", str(data), "--lasso", "0.05", "--out", str(model)]) == 0

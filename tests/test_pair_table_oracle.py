@@ -13,6 +13,7 @@ for bit (``np.array_equal`` on the values and on the sign bits).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -465,6 +466,27 @@ def test_plv_tests_match_pair_loop(data):
     for a, b in zip(new, old):
         assert [type(v) for v in a.edge] == [type(v) for v in b.edge]
         assert (type(a.x2), type(a.df), type(a.p)) == (type(b.x2), type(b.df), type(b.p))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.data())
+def test_plv_tests_match_pair_loop_across_pair_blocks(data):
+    # more than 256 pairs, so the pairs are reduced in several blocks
+    d, n = data.draw(st.integers(24, 40), label="d"), data.draw(st.integers(2, 500), label="n")
+    X = draw_angles(data, n, d)
+    assert inference.plv_tests(X) == _plv_tests(X)
+
+
+def test_plv_tests_memory_bounded():
+    # one (pairs, samples) array would take 4560 x 3000 x 8 B = 109 MB
+    X = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, (3000, 96))
+    tracemalloc.start()
+    try:
+        inference.plv_tests(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
