@@ -15,9 +15,12 @@ nodes of (4d - 2)-square Gram blocks B_l = A_l' A_l / N placed on those
 coordinates, O(N d^3) work. The moments keep the d blocks, not the 2d^2-square
 Gamma_hat: a product with Gamma_hat, or with its restriction to a fit's active
 coordinates, is one batched product over the blocks (:class:`GammaOperator`),
-O(d^3). The only dense Gamma the package builds is the active block that the
-closed-form fit and the sandwich covariance factor, made fresh where it is
-factored; the group lasso works through products alone. One walk over the data
+O(d^3). The closed-form fit solves Gamma_hat phi = H_hat by conjugate
+gradients through those products, with a condition guard read off the
+Lanczos tridiagonal that CG's coefficients form, and the group lasso works
+through products alone. The only dense Gamma the package builds is the
+active block that the sandwich covariance factors, made fresh where it is
+factored. One walk over the data
 (:func:`_derivative_walk`) feeds each node's derivative rows both to the Gram
 blocks and to the sandwich covariance's residual rows, so a test reads each
 data row once.
@@ -51,6 +54,7 @@ from .model import (
 
 _CHUNK = 256
 _COND_LIMIT = 1e12
+_CG_RTOL = 1e-14
 _LASSO_MAX_ITER = 20000
 
 
@@ -124,9 +128,7 @@ class ScoreMatchingMoments:
         :class:`GammaOperator`. The blocks are shared when every coordinate of
         every block is in the set, and otherwise gathered once here."""
         coords = np.asarray(coords, dtype=int)
-        pos = -np.ones(self.h_hat.size, dtype=int)
-        pos[coords] = np.arange(coords.size)
-        table = pos[_derivative_table(self.d)[0]]
+        table = _positions(self.h_hat.size, coords)[_derivative_table(self.d)[0]]
         kept = table >= 0
         if kept.all():
             return GammaOperator(self.blocks, table, coords.size)
@@ -145,8 +147,7 @@ class ScoreMatchingMoments:
         triangles, so the result is exactly symmetric and may be factored in
         place."""
         coords = np.asarray(coords, dtype=int)
-        pos = -np.ones(self.h_hat.size, dtype=int)
-        pos[coords] = np.arange(coords.size)
+        pos = _positions(self.h_hat.size, coords)
         G = np.zeros((coords.size, coords.size))
         for node_coords, B in zip(_derivative_table(self.d)[0], self.blocks):
             p = pos[node_coords]
@@ -154,6 +155,14 @@ class ScoreMatchingMoments:
             if keep.size:
                 G[np.ix_(p[keep], p[keep])] += B[np.ix_(keep, keep)]
         return G
+
+
+def _positions(size, coords):
+    """Place of each of ``size`` coordinates among ``coords`` (distinct
+    coordinates), or -1 where it is not one of them."""
+    pos = -np.ones(size, dtype=int)
+    pos[coords] = np.arange(coords.size)
+    return pos
 
 
 def _pool(parts):
@@ -297,50 +306,129 @@ def _checked_cholesky(G, n, m_total):
     try:
         cho = scipy.linalg.cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularMomentsError(
-            f"moment matrix is singular: N={n} samples for {m_total} coefficients "
-            f"(need N well above 2d)"
-        ) from exc
+        raise _singular(n, m_total) from exc
     if G.size == 0:
         return cho
     rcond, info = scipy.linalg.lapack.dpocon(cho[0], anorm, uplo="L")
     if info != 0 or rcond <= 0 or 1.0 / rcond > _COND_LIMIT:
-        cond = np.inf if rcond <= 0 else 1.0 / rcond
-        raise SingularMomentsError(
-            f"moment matrix too ill-conditioned (condition estimate {cond:.3g}): "
-            f"N={n} samples for {m_total} coefficients"
-        )
+        raise _ill_conditioned(np.inf if rcond <= 0 else 1.0 / rcond, n, m_total)
     return cho
+
+
+def _singular(n, m_total):
+    return SingularMomentsError(
+        f"moment matrix is singular: N={n} samples for {m_total} coefficients "
+        f"(need N well above 2d)"
+    )
+
+
+def _ill_conditioned(cond, n, m_total):
+    return SingularMomentsError(
+        f"moment matrix too ill-conditioned (condition estimate {cond:.3g}): "
+        f"N={n} samples for {m_total} coefficients"
+    )
+
+
+def _ritz_condition(diag, off):
+    """Ratio of the extreme eigenvalues of the symmetric tridiagonal matrix
+    with diagonal ``diag`` and off-diagonal ``off``."""
+    ritz = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    return ritz[-1] / ritz[0] if ritz[0] > 0 else np.inf
+
+
+def _conjugate_gradient(G, b, n, m_total):
+    """Solve G v = b by conjugate gradients from v = 0 (Hestenes & Stiefel
+    1952), for an operator G on m coordinates that should be symmetric
+    positive definite. Stops at a relative residual of _CG_RTOL. Returns
+    (v, steps).
+
+    CG's step lengths alpha_j and residual ratios beta_j are the entries of
+    the Lanczos tridiagonal T of G on the Krylov space of b (Golub & Van
+    Loan, Matrix Computations, section 11.3): diagonal 1/alpha_j +
+    beta_(j-1)/alpha_(j-1), off-diagonal sqrt(beta_(j-1))/alpha_(j-1). T's
+    extreme eigenvalues (Ritz values) lie within G's spectrum, so their ratio
+    is a lower estimate of G's condition number.
+
+    Raises SingularMomentsError, with the Cholesky guard's messages, when
+    - p'Gp is not positive and finite;
+    - the Ritz condition estimate exceeds _COND_LIMIT. It is taken once CG
+      stops, and each step checks a lower bound on it that costs nothing:
+      T's largest diagonal entry times e_1'T^-1 e_1 = b'v / b'b. The bound
+      grows with v when G is (nearly) singular, so a diverging solve stops
+      before v overflows;
+    - CG has not converged after 20 m + 100 steps.
+    The guard sees G on the Krylov space of b only, so b = 0 gives v = 0
+    unchecked.
+    """
+    v = np.zeros(b.size)
+    r = b.copy()
+    p = b.copy()
+    rr = rr0 = float(b @ b)
+    diag, off = [], []
+    carry = top = quad = 0.0
+    n_iter = 0
+    while rr > _CG_RTOL**2 * rr0:
+        if n_iter == 20 * b.size + 100:
+            raise _ill_conditioned(_ritz_condition(diag, off[:-1]), n, m_total)
+        Gp = G @ p
+        pGp = float(p @ Gp)
+        if not (math.isfinite(pGp) and pGp > 0):
+            raise _singular(n, m_total)
+        alpha = rr / pGp
+        diag.append(1.0 / alpha + carry)
+        top = max(top, diag[-1])
+        quad += alpha * rr  # b'v after this step
+        if top * quad > _COND_LIMIT * rr0:
+            raise _ill_conditioned(top * quad / rr0, n, m_total)
+        v += alpha * p
+        r -= alpha * Gp
+        rr_next = float(r @ r)
+        beta = rr_next / rr
+        carry = beta / alpha
+        off.append(math.sqrt(beta) / alpha)
+        p *= beta
+        p += r
+        rr = rr_next
+        n_iter += 1
+    if diag:
+        cond = _ritz_condition(diag, off[:-1])
+        if cond > _COND_LIMIT:
+            raise _ill_conditioned(cond, n, m_total)
+    return v, n_iter
 
 
 def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     """Solve the estimating equation on the family's active coordinate set.
 
     Masked coordinates are removed from the system (exact affine restriction)
-    and re-embedded as zeros. Raises SingularMomentsError when the active
-    moment block is singular or its condition estimate exceeds 1e12.
+    and re-embedded as zeros. Gamma_hat phi = H_hat is solved on that set by
+    conjugate gradients through the node blocks
+    (:meth:`ScoreMatchingMoments.gamma_operator`), so no Gamma block is
+    assembled; ``n_iter`` of the result counts the CG steps. Raises
+    SingularMomentsError when the active moment block is singular, its
+    Lanczos condition estimate exceeds 1e12 or CG stalls
+    (:func:`_conjugate_gradient`).
     """
     if moments is None:
         moments = accumulate_moments(data)
     d = moments.d
     family = Family(family)
     idx = _active_indices(d, family, zero_edges)
-    b = moments.h_hat[idx]
-    cho = _checked_cholesky(moments.gamma_block(idx), moments.n, param_dim(d))
+    solution, n_iter = _conjugate_gradient(
+        moments.gamma_operator(idx), moments.h_hat[idx], moments.n, param_dim(d)
+    )
     phi = np.zeros(param_dim(d))
-    phi[idx] = scipy.linalg.cho_solve(cho, b, check_finite=False)
+    phi[idx] = solution
     params = TorusGraphParams(d=d, phi=phi, family=family)
     return FitResult(params=params, moments=moments, method="closed_form",
-                     residual_norm=_equation_residual(moments, phi, idx))
+                     residual_norm=_equation_residual(moments, phi, idx), n_iter=n_iter)
 
 
 def _penalized_blocks(d, idx):
     """Active-coordinate positions of each penalized coupling block as an
     (E, size) index matrix. A family masks the same columns of every block; a
     zeroed edge's row goes first, so that no edge left leaves no column."""
-    pos = -np.ones(param_dim(d), dtype=int)
-    pos[idx] = np.arange(idx.size)
-    blocks = pos[coupling_coords(d)]
+    blocks = _positions(param_dim(d), idx)[coupling_coords(d)]
     blocks = blocks[(blocks >= 0).any(axis=1)]
     return blocks[:, (blocks >= 0).any(axis=0)]
 

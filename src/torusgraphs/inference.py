@@ -29,6 +29,7 @@ from .estimation import (
     _checked_cholesky,
     _cross_validate,
     _derivative_walk,
+    _positions,
     fit_group_lasso,
 )
 from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
@@ -91,8 +92,9 @@ def asymptotic_cov(data, params, moments=None):
     solve against R is written into R, so those two are the only large
     arrays. Tests read small blocks of Sigma through
     :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
-    coefficient vector. Raises SingularMomentsError under the same Cholesky
-    and condition guard as the closed-form fit.
+    coefficient vector. Raises SingularMomentsError when the active block is
+    singular or its condition estimate exceeds 1e12, as the closed-form fit
+    does.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
@@ -106,9 +108,7 @@ def asymptotic_cov(data, params, moments=None):
     scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
     R *= 1.0 / np.sqrt(n)
     R.flags.writeable = False
-    position = -np.ones(m, dtype=int)
-    position[idx] = np.arange(idx.size)
-    return SandwichCov(factor=R, position=position, moments=moments)
+    return SandwichCov(factor=R, position=_positions(m, idx), moments=moments)
 
 
 @dataclass(frozen=True)

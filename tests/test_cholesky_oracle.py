@@ -3,9 +3,10 @@
 ``_checked_cholesky`` below is the package's former routine, kept verbatim
 as the oracle: it builds |G| for the 1-norm and lets ``cho_factor`` copy G.
 The package takes the 1-norm with LAPACK and factors G where it lies. LAPACK
-sees the same matrix either way, so the closed-form coefficients and the
-sandwich factor must be bitwise equal through both routines, and the package
-routine must allocate less than one more m x m array.
+sees the same matrix either way, so the sandwich factor must be bitwise equal
+through both routines, and the package routine must allocate less than one
+more m x m array. The closed-form fit no longer factors: it is gated against
+the Cholesky fit in test_cg_oracle.py.
 """
 
 import tracemalloc
@@ -60,6 +61,9 @@ def fit_and_factor(X, family):
 
 @pytest.mark.parametrize("d, family", [(d, f) for d in (1, 3, 8) for f in Family])
 def test_bitwise_equal_to_copying_cholesky(monkeypatch, d, family):
+    """The sandwich factor is bitwise equal through both routines. The fit
+    solves by conjugate gradients and no longer passes through either, so its
+    half checks only that two identical CG solves agree."""
     X = coupled_sample(d, max(300, 5 * param_dim(d)), seed=430 + d)
     phi, factor = fit_and_factor(X, family)
     monkeypatch.setattr(estimation, "_checked_cholesky", _checked_cholesky)

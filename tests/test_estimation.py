@@ -247,6 +247,7 @@ class TestClosedForm:
         assert np.all(fit.params.phi[inactive] == 0.0)
         assert np.max(np.abs(fit.params.phi - phi)) < 0.1
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_when_undersampled(self):
         rng = np.random.default_rng(49)
         X = rng.uniform(0, 2 * np.pi, size=(5, 4))  # N < 2d

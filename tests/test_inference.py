@@ -92,6 +92,8 @@ class TestAsymptoticCov:
         with pytest.raises(DomainError):
             asymptotic_cov(np.zeros((10, 2)), p)
 
+    # the fit's CG must raise before its iterate overflows
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("jitter", [0.0, 1e-7])
     def test_ill_conditioned_moments_raise(self, jitter):
         # two (nearly) identical channels: the sine of their difference is
@@ -103,6 +105,8 @@ class TestAsymptoticCov:
         moments = accumulate_moments(X)
         with pytest.raises(SingularMomentsError, match="N=400"):
             asymptotic_cov(X, params, moments=moments)
+        with pytest.raises(SingularMomentsError, match="N=400"):
+            fit_closed_form(X, moments=moments)
 
 
 class TestEdgeTest:

@@ -8,11 +8,11 @@ keeps one (4d - 2)-square Gram block per node instead; Gamma products, the
 blocks it assembles and the coefficients solved from them must agree with
 the oracle to 1e-12 absolute, and no package path may assemble the full
 Gamma_hat (a ``gamma_block`` of every coordinate) other than as the active
-block that a closed-form fit or a sandwich factors where it is made. The
-group lasso assembles no block: its products with Gamma on the active
+block that a sandwich factors where it is made. The closed-form fit and the
+group lasso assemble no block: their products with Gamma on the active
 coordinates go through the node blocks and must agree with the assembled
-block's to 1e-12 absolute, and its Lanczos step size with the block's
-largest eigenvalue to 1e-10 relative.
+block's to 1e-12 absolute, and the lasso's Lanczos step size with the
+block's largest eigenvalue to 1e-10 relative.
 """
 
 import sys
@@ -226,15 +226,14 @@ def test_no_full_gamma_allocated(d, n):
     X = coupled_sample(d, n, seed=480 + d)
     full = param_dim(d) ** 2 * 8
     assert _peak_bytes(estimation.accumulate_moments, X) < full
-    # the dense active block is the one m x m array, factored where it lies
-    assert _peak_bytes(estimation.fit_closed_form, X) < 2 * full
-    # the group lasso makes none: it works through node-block products
+    # neither solve makes an m x m array: both work through node-block products
+    assert _peak_bytes(estimation.fit_closed_form, X) < full
     assert _peak_bytes(estimation.fit_group_lasso, X, lam=0.1) < full
 
 
-# the functions that factor or solve the active block they assemble; under the
-# full family with no zeroed edge that block has every coordinate
-FACTORING = {"fit_closed_form", "asymptotic_cov"}
+# the functions that factor the active block they assemble; under the full
+# family with no zeroed edge that block has every coordinate
+FACTORING = {"asymptotic_cov"}
 
 
 @pytest.fixture
