@@ -20,9 +20,10 @@ from .estimation import FitResult, _cross_validate, _equation_residual
 from .estimation import fit_closed_form, fit_group_lasso
 from .exceptions import DomainError, NumericalError, SchemaError, TorusGraphError
 from .inference import (
+    CORRECTIONS,
     MODE_FULL,
-    MODE_REFLECTIONAL,
     MODE_ROTATIONAL,
+    MODES,
     asymptotic_cov,
     build_graph,
     correct_pvalues,
@@ -35,16 +36,6 @@ from .margins import bivar_phase_diff_density, population_plv_from_grid, trivar_
 from .model import Family
 from .sampling import GibbsConfig, gibbs_sample
 from .simulation import draw_replicates, plv_recovery_experiment, recovery_experiment
-
-_FAMILIES = {
-    "full": Family.FULL,
-    "phasediff": Family.PHASE_DIFF,
-    "uniform": Family.UNIFORM_MARGINAL,
-    "uniform-phasediff": Family.UNIFORM_PHASE_DIFF,
-}
-
-_MODES = {"full": MODE_FULL, "rot": MODE_ROTATIONAL, "refl": MODE_REFLECTIONAL}
-
 
 class _UsageError(Exception):
     def __init__(self, message, parser):
@@ -69,7 +60,7 @@ def _floats(text, n, flag):
 
 def _auto_mode(family, requested):
     if requested != "auto":
-        return _MODES[requested]
+        return requested
     if family in (Family.PHASE_DIFF, Family.UNIFORM_PHASE_DIFF):
         return MODE_ROTATIONAL
     return MODE_FULL
@@ -112,7 +103,7 @@ def _add_dataset_options(p):
 
 def cmd_fit(args):
     ds = _load_dataset(args)
-    family = _FAMILIES[args.family]
+    family = Family(args.family)
     if args.cv is not None:
         if not args.grid:
             raise DomainError("--cv requires --grid")
@@ -262,7 +253,7 @@ def cmd_bench(args):
     if "torus" in settings["methods"]:
         results["torus"] = recovery_experiment(
             replicates, settings["alpha"], settings["correction"],
-            family=_FAMILIES[settings["family"]], mode=_MODES[settings["mode"]],
+            family=Family(settings["family"]), mode=settings["mode"],
         )
     if "plv" in settings["methods"]:
         results["plv"] = plv_recovery_experiment(replicates, settings["alpha"],
@@ -362,7 +353,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit a model to an angle CSV")
     _add_dataset_options(p)
-    p.add_argument("--family", choices=sorted(_FAMILIES), default="full")
+    p.add_argument("--family", choices=sorted(f.value for f in Family), default="full")
     solver = p.add_mutually_exclusive_group()
     solver.add_argument("--lasso", type=float, default=None, metavar="LAMBDA",
                         help="group-penalized fit at this penalty weight")
@@ -383,8 +374,8 @@ def build_parser():
     _add_dataset_options(p)
     p.add_argument("--model", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--correction", choices=["none", "bonferroni"], default="none")
-    p.add_argument("--mode", choices=["auto", "full", "rot", "refl"], default="auto")
+    p.add_argument("--correction", choices=CORRECTIONS, default="none")
+    p.add_argument("--mode", choices=("auto", *MODES), default="auto")
     p.add_argument("--out", required=True, help="output graph JSON")
     p.set_defaults(func=cmd_test)
 
@@ -393,8 +384,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--groups", required=True, help="channel grouping JSON")
     p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--correction", choices=["none", "bonferroni"], default="bonferroni")
-    p.add_argument("--mode", choices=["auto", "full", "rot", "refl"], default="auto")
+    p.add_argument("--correction", choices=CORRECTIONS, default="bonferroni")
+    p.add_argument("--mode", choices=("auto", *MODES), default="auto")
     p.add_argument("--out", default=None, help="optional output JSON")
     p.set_defaults(func=cmd_region_test)
 
@@ -410,7 +401,7 @@ def build_parser():
     p = sub.add_parser("plv-graph", help="pairwise phase-locking graph (Rayleigh tests)")
     _add_dataset_options(p)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--correction", choices=["none", "bonferroni"], default="none")
+    p.add_argument("--correction", choices=CORRECTIONS, default="none")
     p.add_argument("--out", required=True, help="output graph JSON")
     p.set_defaults(func=cmd_plv_graph)
 
@@ -467,10 +458,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, TorusGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TorusGraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

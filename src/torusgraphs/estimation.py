@@ -82,6 +82,15 @@ class GammaOperator:
         out = np.matmul(self.blocks, v[self.position][:, :, None])
         return np.bincount(self.position.ravel(), weights=out.ravel(), minlength=self.size)
 
+    def dense(self):
+        """Gamma_hat on the set as a new C-ordered m-square array. ``add.at``
+        is unbuffered and runs in C order, so each cell gets its blocks'
+        entries in node order onto both triangles: the result is exactly
+        symmetric and may be factored in place. Padding adds zeros."""
+        G = np.zeros(self.shape)
+        np.add.at(G, (self.position[:, :, None], self.position[:, None, :]), self.blocks)
+        return G
+
 
 @dataclass(frozen=True)
 class ScoreMatchingMoments:
@@ -93,7 +102,7 @@ class ScoreMatchingMoments:
     ``model._derivative_table(d)[0]``). Gamma_hat is the sum of the blocks
     placed on those coordinates; it is applied by :meth:`gamma_dot`, applied
     on a coordinate subset by :meth:`gamma_operator` and assembled on one by
-    :meth:`gamma_block`. ``h_hat`` is
+    :meth:`gamma_block`, which scatters that operator's blocks. ``h_hat`` is
     (2d^2,), and ``n`` the sample count the moments average over.
     """
 
@@ -143,18 +152,9 @@ class ScoreMatchingMoments:
 
     def gamma_block(self, coords):
         """Gamma_hat restricted to ``coords`` (distinct coordinates), as a new
-        C-ordered array. Each block is added in node order onto both
-        triangles, so the result is exactly symmetric and may be factored in
-        place."""
-        coords = np.asarray(coords, dtype=int)
-        pos = _positions(self.h_hat.size, coords)
-        G = np.zeros((coords.size, coords.size))
-        for node_coords, B in zip(_derivative_table(self.d)[0], self.blocks):
-            p = pos[node_coords]
-            keep = np.nonzero(p >= 0)[0]
-            if keep.size:
-                G[np.ix_(p[keep], p[keep])] += B[np.ix_(keep, keep)]
-        return G
+        C-ordered, exactly symmetric array: the scatter of
+        :meth:`gamma_operator`'s blocks (:meth:`GammaOperator.dense`)."""
+        return self.gamma_operator(coords).dense()
 
 
 def _positions(size, coords):

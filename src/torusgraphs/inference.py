@@ -50,6 +50,7 @@ MODE_REFLECTIONAL = "refl"
 
 CORRECTION_NONE = "none"
 CORRECTION_BONFERRONI = "bonferroni"
+CORRECTIONS = (CORRECTION_NONE, CORRECTION_BONFERRONI)
 
 _PLV_PAIRS = 256
 
@@ -123,6 +124,7 @@ class EdgeTest:
 
 
 _MODE_OFFSETS = {MODE_FULL: [0, 1, 2, 3], MODE_ROTATIONAL: [0, 1], MODE_REFLECTIONAL: [2, 3]}
+MODES = tuple(_MODE_OFFSETS)
 
 
 def _edge_coords(params, edges, mode):
@@ -248,7 +250,7 @@ def correct_pvalues(pvals, correction):
     ``none`` keeps them; ``bonferroni`` multiplies each by the number of
     tests, clamped to 1.
     """
-    if correction not in (CORRECTION_NONE, CORRECTION_BONFERRONI):
+    if correction not in CORRECTIONS:
         raise DomainError(f"unknown correction {correction!r}")
     p = np.asarray(pvals, dtype=float)
     factor = p.size if correction == CORRECTION_BONFERRONI else 1

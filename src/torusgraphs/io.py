@@ -16,7 +16,7 @@ import numpy as np
 
 from .circular import wrap_angle
 from .exceptions import DomainError, ParseError, SchemaError
-from .inference import EdgeTest, GraphStructure
+from .inference import CORRECTIONS, MODES, EdgeTest, GraphStructure
 from .model import Family, TorusGraphParams, param_dim
 from .simulation import GeneratorSpec
 
@@ -333,7 +333,7 @@ def load_experiment_config(path):
     for m in settings["methods"]:
         if m not in ("torus", "plv"):
             raise SchemaError(f"unknown method {m!r}")
-    if settings["correction"] not in ("none", "bonferroni"):
+    if settings["correction"] not in CORRECTIONS:
         raise SchemaError(f"unknown correction {settings['correction']!r}")
     if not 0 < settings["alpha"] < 1:
         raise DomainError(f"alpha must be in (0, 1), got {settings['alpha']!r}")
@@ -341,7 +341,7 @@ def load_experiment_config(path):
         Family(settings["family"])
     except ValueError as exc:
         raise SchemaError(f"unknown family {settings['family']!r}") from exc
-    if settings["mode"] not in ("full", "rot", "refl"):
+    if settings["mode"] not in MODES:
         raise SchemaError(f"unknown mode {settings['mode']!r}")
     return spec, settings
 

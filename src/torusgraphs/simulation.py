@@ -283,13 +283,11 @@ def _roc_points(scores, labels):
 
 def _interp_roc(fpr, tpr, grid):
     # the ROC is the right-continuous staircase through the sweep corners
-    # (max tpr at each achieved fpr); evaluate it on the grid with
+    # (max tpr at each achieved fpr: both never decrease along the sweep, so
+    # that is the last corner at each fpr); evaluate it on the grid with
     # previous-value semantics, which preserves the Mann-Whitney area
-    best = {}
-    for f, t in zip(fpr, tpr):
-        best[f] = max(best.get(f, 0.0), t)
-    xs = np.array(sorted(best))
-    ys = np.array([best[x] for x in xs])
+    xs = np.unique(fpr)
+    ys = tpr[np.searchsorted(fpr, xs, side="right") - 1]
     pos = np.searchsorted(xs, grid, side="right") - 1
     return ys[np.clip(pos, 0, xs.size - 1)]
 

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from torusgraphs.circular import rayleigh_test
-from torusgraphs.cli import main
-from torusgraphs.io import load_csv, load_graph, load_model, save_samples_csv
+from torusgraphs.cli import build_parser, main
+from torusgraphs.exceptions import SchemaError
+from torusgraphs.inference import CORRECTIONS, MODES
+from torusgraphs.io import (
+    load_csv,
+    load_experiment_config,
+    load_graph,
+    load_model,
+    save_samples_csv,
+)
 from torusgraphs.model import Family, TorusGraphParams, coupling_slice
 from torusgraphs.simulation import gen_chain
 
@@ -538,3 +546,30 @@ class TestExitCodes:
         path.write_text(json.dumps({"schema_version": 1, "groups": groups}))
         assert main(["region-test", str(data), "--model", str(model), "--groups", str(path)]) == 1
         assert message in capsys.readouterr().err
+
+
+class TestNameTables:
+    """Every family, mode and correction name is read from the module that
+    defines the choice."""
+
+    def test_choices_read_the_library_tables(self):
+        expected = {
+            "family": tuple(sorted(f.value for f in Family)),
+            "mode": ("auto", *MODES),
+            "correction": CORRECTIONS,
+        }
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        seen = {name: 0 for name in expected}
+        for sub in subparsers.choices.values():
+            for action in sub._actions:
+                if action.dest in expected:
+                    assert tuple(action.choices) == expected[action.dest], action.dest
+                    seen[action.dest] += 1
+        # --family on fit; --mode on test and region-test; --correction also on plv-graph
+        assert seen == {"family": 1, "mode": 2, "correction": 3}
+
+    @pytest.mark.parametrize("field,value", [("mode", "diagonal"), ("correction", "holm")])
+    def test_config_rejects_unknown_name(self, tmp_path, field, value):
+        with pytest.raises(SchemaError) as exc:
+            load_experiment_config(_bench_config(tmp_path, "chain", **{field: value}))
+        assert str(exc.value) == f"unknown {field} {value!r}"

@@ -10,10 +10,16 @@ draw-once-score-per-method path must equal theirs bit for bit.
 one multi-chain run, which no single ``generate`` call reproduces; for that
 kind the oracles draw from a replay generator that returns, per seed, the
 replicate ``draw_replicates`` made.
+
+The package's ``_interp_roc`` reads the staircase off the sorted sweep
+instead of the dict loop kept here, and must equal it exactly on tied
+scores and on one-class labels, where fpr or tpr is all ones.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgraphs import simulation
 from torusgraphs.circular import rayleigh_statistic, rayleigh_test, wrap_angle
@@ -205,3 +211,31 @@ def test_plv_matches_oracle(replicates, kind, correction):
     old = plv_recovery_experiment(oracle_generator(kind, replicates), n_reps=N_REPS, N=N,
                                   alpha=0.05, correction=correction, seed=SEED)
     assert_same_summary(new, old)
+
+
+STAIRCASES = {
+    "tied-scores": ([2.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0], [1, 0, 1, 1, 0, 1, 0]),
+    "all-tied": ([3.0] * 5, [1, 0, 0, 1, 0]),
+    "all-positive": ([0.3, 0.1, 0.1, 0.9], [1, 1, 1, 1]),
+    "all-negative": ([0.3, 0.1, 0.1, 0.9], [0, 0, 0, 0]),
+    "single": ([1.0], [1]),
+}
+
+
+def assert_same_staircase(scores, labels):
+    fpr, tpr = simulation._roc_points(scores, np.asarray(labels, dtype=bool))
+    grid = np.linspace(0.0, 1.0, FPR_GRID_SIZE)
+    assert np.array_equal(simulation._interp_roc(fpr, tpr, grid), _interp_roc(fpr, tpr, grid))
+
+
+@pytest.mark.parametrize("scores,labels", list(STAIRCASES.values()), ids=list(STAIRCASES))
+def test_staircase_matches_oracle(scores, labels):
+    assert_same_staircase(scores, labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=40))
+def test_staircase_matches_oracle_on_random_sweeps(points):
+    # scores from a few values, so ties are common
+    scores, labels = zip(*points)
+    assert_same_staircase([float(s) for s in scores], labels)

@@ -13,6 +13,12 @@ group lasso assemble no block: their products with Gamma on the active
 coordinates go through the node blocks and must agree with the assembled
 block's to 1e-12 absolute, and the lasso's Lanczos step size with the
 block's largest eigenvalue to 1e-10 relative.
+
+``gamma_block`` below is the former method of that name, kept verbatim but
+for taking the moments as an argument: a per-node ``np.ix_`` gather of each
+block onto the coordinate set. The package scatters the blocks of its
+``gamma_operator`` instead, and the result must equal the loop's byte for
+byte.
 """
 
 import sys
@@ -34,6 +40,7 @@ from torusgraphs.estimation import (
     _checked_cholesky,
     _largest_eigenvalue,
     _pairwise_reduce,
+    _positions,
     fit_group_lasso,
     select_lambda_cv,
     sm_objective,
@@ -117,6 +124,22 @@ def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     return FitResult(params=params, moments=moments, method="closed_form", residual_norm=residual)
 
 
+def gamma_block(moments, coords):
+    """Gamma_hat restricted to ``coords`` (distinct coordinates), as a new
+    C-ordered array. Each block is added in node order onto both
+    triangles, so the result is exactly symmetric and may be factored in
+    place."""
+    coords = np.asarray(coords, dtype=int)
+    pos = _positions(moments.h_hat.size, coords)
+    G = np.zeros((coords.size, coords.size))
+    for node_coords, B in zip(_derivative_table(moments.d)[0], moments.blocks):
+        p = pos[node_coords]
+        keep = np.nonzero(p >= 0)[0]
+        if keep.size:
+            G[np.ix_(p[keep], p[keep])] += B[np.ix_(keep, keep)]
+    return G
+
+
 def coupled_sample(d, n, seed):
     """n Gibbs draws from a model with O(1) marginal and coupling blocks."""
     rng = np.random.default_rng(seed)
@@ -159,6 +182,35 @@ def test_operator_matches_dense(data):
         assert G.flags.c_contiguous and G.flags.writeable
         assert np.array_equal(G, G.T)
         np.testing.assert_allclose(G, ref.gamma_hat[np.ix_(coords, coords)], rtol=0, atol=ATOL)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_block_scatter_matches_loop(data):
+    d = data.draw(st.integers(1, 8), label="d")
+    n = data.draw(st.integers(1, 400), label="n")
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    edges = edge_list(d)
+    zero_edges = []
+    if edges:
+        zero_edges = data.draw(st.lists(st.sampled_from(edges), unique=True), label="zero_edges")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    moments = estimation.accumulate_moments(coupled_sample(d, n, seed))
+    rng = np.random.default_rng(seed)
+    idx = _active_indices(d, family, zero_edges)
+    m = param_dim(d)
+    subsets = (
+        idx,
+        rng.permutation(idx)[: idx.size // 2],
+        rng.choice(m, size=rng.integers(1, m + 1), replace=False),
+        np.arange(0),
+    )
+    for coords in subsets:
+        G = moments.gamma_block(coords)
+        assert G.tobytes() == gamma_block(moments, coords).tobytes()
+        assert G.shape == (coords.size, coords.size)
+        assert G.flags.c_contiguous and G.flags.writeable
+        assert np.array_equal(G, G.T)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
