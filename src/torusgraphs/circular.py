@@ -208,12 +208,18 @@ def circular_correlation(x, y):
 
 
 def chi2_sf(x, df):
-    """Upper tail of the chi-squared distribution (regularized incomplete gamma)."""
+    """Upper tail of the chi-squared distribution (regularized incomplete gamma).
+
+    ``x`` may be an array of statistics sharing one ``df``, as the stacked
+    edge tests pass it; each entry equals the scalar call on it.
+    """
     if df <= 0:
         raise DomainError("degrees of freedom must be positive")
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise DomainError("chi-squared statistic must be >= 0")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    p = gammaincc(df / 2.0, x / 2.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def fisher_combine(pvals):

@@ -11,9 +11,11 @@ a test reads only the block F_c'F_c of the coordinates c it tests
 (:class:`SandwichCov`). Quadratic forms of coefficient blocks against that
 covariance give chi-squared statistics with one degree of freedom per tested
 coordinate: 4 for a full coupling block, 2 for its rotational or reflectional
-half, and 2|E| or 4|E| for groups of edges. The CLI and the benchmark harness
-score all pairs through :func:`edge_tests` and, for the pairwise phase-locking
-baseline, :func:`plv_tests`. Multiple testing is corrected in one place,
+half, and 2|E| or 4|E| for groups of edges. Every pair, one pair or one group
+is tested as one stack of blocks, with one batched product, solve and
+chi-squared call. The CLI and the benchmark harness score all pairs through
+:func:`edge_tests` and, for the pairwise phase-locking baseline,
+:func:`plv_tests`. Multiple testing is corrected in one place,
 :func:`correct_pvalues`.
 """
 
@@ -70,14 +72,17 @@ class SandwichCov:
     moments: ScoreMatchingMoments
 
     def block(self, coords):
-        """Sigma restricted to ``coords`` (coordinates of the full layout)."""
+        """Sigma restricted to ``coords`` (coordinates of the full layout): the
+        (k, k) block of a 1-D coordinate list, or the (tests, k, k) stack of
+        blocks of a (tests, k) array, one per row, formed in one batched
+        product. Each block of a stack equals the block of its row alone."""
         cols = self.position[np.asarray(coords, dtype=int)]
         if np.any(cols < 0):
             raise FamilyScopeError(
                 "covariance block requested on a coordinate masked by the family"
             )
         F = self.factor[:, cols]
-        return F.T @ F
+        return np.moveaxis(F, 0, -1) @ np.moveaxis(F, 0, -2)
 
 
 def asymptotic_cov(data, params, moments=None):
@@ -149,34 +154,52 @@ def _edge_coords(params, edges, mode):
     return list(norm), coords
 
 
-def _quadratic_test(fit, cov, edge, coords, mode):
-    """Test of ``edge`` (a pair, or a tuple of pairs) that the coefficients on
-    ``coords`` are zero. Each test solves its own freshly gathered block, so
-    its statistic does not depend on which other tests run with it."""
-    phi_e = fit.params.phi[coords]
-    sigma_e = cov.block(coords)
+def _quadratic_tests(fit, cov, tested, coords, mode):
+    """Tests that the coefficients on each row of the (tests, k) ``coords``
+    are zero, one per entry of ``tested`` (a pair, or a tuple of pairs).
+
+    The blocks are gathered, formed and solved as one stack, and each block
+    solves alone, so a test's statistic does not depend on which other tests
+    run with it. The first degenerate test in order is named: a singular
+    block, or a non-finite statistic.
+    """
+    # a C-ordered gather gives each row's dot product the strides of a lone test
+    coords = np.ascontiguousarray(coords)
+    phi = fit.params.phi[coords]
+    sigma = cov.block(coords)
+    singular = np.zeros(len(tested), dtype=bool)
     try:
-        sol = np.linalg.solve(sigma_e, phi_e)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateTestError(f"singular covariance block in the test of {edge}") from exc
-    x2 = float(fit.n * phi_e @ sol)
-    if not np.isfinite(x2):
-        raise DegenerateTestError(f"non-finite test statistic for {edge}")
-    x2 = max(x2, 0.0)
-    return EdgeTest(edge=edge, x2=x2, df=len(coords), p=chi2_sf(x2, len(coords)), mode=mode)
+        sol = np.linalg.solve(sigma, phi[..., None])
+    except np.linalg.LinAlgError:
+        # solve rejects the whole stack; the LU of slogdet finds the same zero pivots
+        with np.errstate(invalid="ignore"):  # a NaN block is named below, not warned of
+            singular = np.linalg.slogdet(sigma)[0] == 0
+        sol = np.full(phi.shape + (1,), np.nan)
+        sol[~singular] = np.linalg.solve(sigma[~singular], phi[~singular, :, None])
+    x2 = ((fit.n * phi)[:, None, :] @ sol)[:, 0, 0]
+    degenerate = singular | ~np.isfinite(x2)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        if singular[i]:
+            raise DegenerateTestError(f"singular covariance block in the test of {tested[i]}")
+        raise DegenerateTestError(f"non-finite test statistic for {tested[i]}")
+    x2 = np.where(0.0 > x2, 0.0, x2)  # max(x2, 0.0), which keeps a -0.0
+    df = coords.shape[1]
+    return [EdgeTest(edge=edge, x2=s, df=df, p=q, mode=mode)
+            for edge, s, q in zip(tested, x2.tolist(), chi2_sf(x2, df).tolist())]
 
 
 def edge_test(fit, cov, j, k, mode=MODE_FULL):
     """Chi-squared test of one coupling block (or its rotational /
     reflectional half) against zero; df equals the tested block size."""
-    (edge,), (coords,) = _edge_coords(fit.params, [(j, k)], mode)
-    return _quadratic_test(fit, cov, edge, coords, mode)
+    edges, coords = _edge_coords(fit.params, [(j, k)], mode)
+    return _quadratic_tests(fit, cov, edges, coords, mode)[0]
 
 
 def edge_tests(fit, cov, mode=MODE_FULL):
-    """:func:`edge_test` of every pair, in canonical edge order."""
+    """:func:`edge_test` of every pair, in canonical edge order, as one stack."""
     edges, coords = _edge_coords(fit.params, edge_list(fit.params.d), mode)
-    return [_quadratic_test(fit, cov, edge, c, mode) for edge, c in zip(edges, coords)]
+    return _quadratic_tests(fit, cov, edges, coords, mode)
 
 
 def group_edge_test(fit, cov, edges, mode=MODE_FULL):
@@ -187,7 +210,7 @@ def group_edge_test(fit, cov, edges, mode=MODE_FULL):
     if not edges:
         raise DomainError("need at least one edge")
     norm_edges, coords = _edge_coords(fit.params, edges, mode)
-    return _quadratic_test(fit, cov, tuple(norm_edges), coords.ravel(), mode)
+    return _quadratic_tests(fit, cov, [tuple(norm_edges)], coords.reshape(1, -1), mode)[0]
 
 
 def plv_tests(data):
@@ -261,8 +284,8 @@ def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
     """Threshold edgewise tests into a graph.
 
     P-values are adjusted by :func:`correct_pvalues` over all the tests.
-    Duplicate edges are rejected; ``d`` is inferred from the largest node
-    index when not given.
+    Duplicate edges are rejected, (j, k) and (k, j) being one edge; ``d`` is
+    inferred from the largest node index when not given.
     """
     tests = list(tests)
     p_corr = correct_pvalues([t.p for t in tests], correction)
@@ -270,18 +293,17 @@ def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
         raise DomainError("alpha must be in (0, 1]")
     seen = set()
     for t in tests:
-        if t.edge in seen:
+        edge = (min(t.edge), max(t.edge))
+        if edge in seen:
             raise DomainError(f"duplicate edge {t.edge}")
-        seen.add(t.edge)
+        seen.add(edge)
     if d is None:
         d = 1 + max((max(t.edge) for t in tests), default=0)
+    jj, kk = np.array([t.edge for t in tests], dtype=int).reshape(-1, 2).T
     adjacency = np.zeros((d, d), dtype=bool)
     pvals = np.ones((d, d))
-    for t, p in zip(tests, p_corr):
-        j, k = t.edge
-        pvals[j, k] = pvals[k, j] = p
-        if p <= alpha:
-            adjacency[j, k] = adjacency[k, j] = True
+    pvals[jj, kk] = pvals[kk, jj] = p_corr
+    adjacency[jj, kk] = adjacency[kk, jj] = p_corr <= alpha
     return GraphStructure(
         d=d, adjacency=adjacency, pvals=pvals, alpha=float(alpha),
         correction=correction, tests=tuple(tests),

@@ -297,6 +297,15 @@ class TestChi2Sf:
             df = int(rng.integers(1, 90))
             assert chi2_sf(x, df) == pytest.approx(scipy.stats.chi2.sf(x, df), rel=1e-10)
 
+    def test_array_equals_scalar_calls_and_keeps_checks(self):
+        x = np.array([0.0, 0.5, 3.0, 40.0])
+        p = chi2_sf(x, 4)
+        assert p.tobytes() == np.array([chi2_sf(float(v), 4) for v in x]).tobytes()
+        with pytest.raises(DomainError):
+            chi2_sf(np.array([1.0, -1e-12]), 4)
+        with pytest.raises(DomainError):
+            chi2_sf(x, 0)
+
 
 class TestVonMisesSample:
     def test_uniform_when_kappa_zero(self):

@@ -1,5 +1,7 @@
 """Tests for asymptotic inference, graph construction, and fit diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -40,6 +42,8 @@ from torusgraphs.model import (
     param_dim,
 )
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
+
+from test_scoring_oracle import _edge_test, _edge_test_loop, _group_edge_test
 
 
 def uniform_fit(d, n, seed, family=Family.FULL):
@@ -140,6 +144,21 @@ class TestEdgeTest:
             pvals.extend(edge_test(fit, cov, j, k).p for j, k in edge_list(3))
         assert scipy.stats.kstest(pvals, "uniform").pvalue > 0.001
 
+    def test_edge_tests_memory_is_one_gather_of_factor_columns(self):
+        """The stack's one large array is the (N, E, k) gather of the factor
+        columns; a second copy of it, in any layout, breaks the bound."""
+        d, n = 12, 3000
+        _, fit, cov = uniform_fit(d, n, seed=69)
+        gathered = n * len(edge_list(d)) * 4 * 8
+        tracemalloc.start()
+        try:
+            tests = edge_tests(fit, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tests) == 66
+        assert peak <= 1.5 * gathered + 2**20
+
     def test_family_scope(self):
         _, fit, cov = uniform_fit(3, 600, seed=66, family=Family.PHASE_DIFF)
         with pytest.raises(FamilyScopeError):
@@ -157,14 +176,24 @@ class TestEdgeTest:
         assert edge_test(fit, cov, 0, 2).p > 1e-4
 
 
+def raised(fn, *args):
+    """The type and message of the DegenerateTestError fn(*args) raises."""
+    with pytest.raises(DegenerateTestError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
 class TestDegenerateTest:
     """A covariance whose factor is damaged on the columns of edge (0, 2)."""
 
     @staticmethod
-    def damaged(value):
-        _, fit, cov = uniform_fit(3, 600, seed=72)
+    def damaged(value, d=3, others=None):
+        """Fit and covariance at ``d`` with (0, 2)'s factor columns set to
+        ``value``, and those of each edge in ``others`` to its own value."""
+        _, fit, cov = uniform_fit(d, 600, seed=72)
         factor = cov.factor.copy()
-        factor[:, cov.position[coupling_slice(3, 0, 2)]] = value
+        for (j, k), v in {(0, 2): value, **(others or {})}.items():
+            factor[:, cov.position[coupling_slice(d, j, k)]] = v
         return fit, SandwichCov(factor=factor, position=cov.position, moments=cov.moments)
 
     def test_singular_block_names_its_edge(self):
@@ -188,6 +217,22 @@ class TestDegenerateTest:
             edge_tests(fit, cov, MODE_REFLECTIONAL)
         with pytest.raises(DegenerateTestError, match=r"non-finite .* for \(\(0, 2\), \(1, 2\)\)$"):
             group_edge_test(fit, cov, [(0, 2), (1, 2)])
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_ROTATIONAL, MODE_REFLECTIONAL])
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("first", [np.nan, 0.0], ids=["nan-first", "zero-first"])
+    def test_first_degenerate_test_named_as_by_the_loop(self, first, d, mode):
+        """NaN on one edge and zeros on another: a stacked solve raises for the
+        whole stack on the singular block and not at all on the NaN one, but
+        the error must name the test the per-pair loop stops at."""
+        second = 0.0 if np.isnan(first) else np.nan
+        fit, cov = self.damaged(second, d, others={(0, 1): first})
+        assert raised(edge_tests, fit, cov, mode) == raised(_edge_test_loop, fit, cov, mode)
+        for j, k in [(0, 1), (0, 2)]:
+            assert raised(edge_test, fit, cov, k, j, mode) == raised(_edge_test, fit, cov, k, j, mode)
+        for group in ([(0, 1), (0, 2)], [(2, 0), (0, 1)], [(1, 2), (0, 2), (0, 1)]):
+            assert (raised(group_edge_test, fit, cov, group, mode)
+                    == raised(_group_edge_test, fit, cov, group, mode))
 
 
 class TestGroupEdgeTest:
@@ -285,6 +330,12 @@ class TestBuildGraph:
     def test_duplicate_edge_rejected(self):
         tests = self._tests([0.1, 0.2, 0.3]) + self._tests([0.4, 0.5, 0.6])
         with pytest.raises(DomainError):
+            build_graph(tests, alpha=0.05)
+
+    def test_edge_in_both_orders_rejected(self):
+        # both would fill cells (0, 2) and (2, 0)
+        tests = self._tests([0.5, 0.01, 0.3]) + [EdgeTest(edge=(2, 0), x2=1.0, df=4, p=0.5)]
+        with pytest.raises(DomainError, match=r"^duplicate edge \(2, 0\)$"):
             build_graph(tests, alpha=0.05)
 
 

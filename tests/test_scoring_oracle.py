@@ -2,12 +2,15 @@
 
 ``test`` and the benchmark harness ran ``edge_test`` once per pair, and each
 call rebuilt its block's coordinates from ``coupling_slice`` and the family
-mask. ``plv-graph`` and the PLV baseline formed each pair's resultant twice,
-once for the Rayleigh statistic and once for its p-value. ``family_mask``,
-the zeroed-edge index set and the penalty blocks walked the edges in Python.
-Those are kept below verbatim. Each pair's arithmetic is unchanged, so the
-package must equal them exactly: every edge, statistic, df, p-value and mode,
-every mask, index set and penalty block, and the graph files the CLI writes.
+mask, gathered its own factor columns, formed its own covariance block and
+made its own solve and chi-squared call; the package now tests every pair,
+and a group, as one stack. ``plv-graph`` and the PLV baseline formed each
+pair's resultant twice, once for the Rayleigh statistic and once for its
+p-value. ``family_mask``, the zeroed-edge index set and the penalty blocks
+walked the edges in Python. Those are kept below verbatim. Each test's
+arithmetic is unchanged, so the package must equal them exactly: every edge,
+statistic, df, p-value and mode, every degenerate-test error, every mask,
+index set and penalty block, and the graph files the CLI writes.
 """
 
 import numpy as np
@@ -103,16 +106,27 @@ def _block_coords(fit, j, k, mode):
     return (j, k), coords
 
 
-def _quadratic_test(fit, cov, coords):
+def _cov_block(cov, coords):
+    """Sigma restricted to ``coords`` (coordinates of the full layout)."""
+    cols = cov.position[np.asarray(coords, dtype=int)]
+    if np.any(cols < 0):
+        raise FamilyScopeError(
+            "covariance block requested on a coordinate masked by the family"
+        )
+    F = cov.factor[:, cols]
+    return F.T @ F
+
+
+def _quadratic_test(fit, cov, edge, coords):
     phi_e = fit.params.phi[coords]
-    sigma_e = cov.block(coords)
+    sigma_e = _cov_block(cov, coords)
     try:
         sol = np.linalg.solve(sigma_e, phi_e)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateTestError("singular covariance block in edge test") from exc
+        raise DegenerateTestError(f"singular covariance block in the test of {edge}") from exc
     x2 = float(fit.n * phi_e @ sol)
     if not np.isfinite(x2):
-        raise DegenerateTestError("non-finite edge test statistic")
+        raise DegenerateTestError(f"non-finite test statistic for {edge}")
     return max(x2, 0.0)
 
 
@@ -120,7 +134,7 @@ def _edge_test(fit, cov, j, k, mode=MODE_FULL):
     """Chi-squared test of one coupling block (or its rotational /
     reflectional half) against zero; df equals the tested block size."""
     edge, coords = _block_coords(fit, j, k, mode)
-    x2 = _quadratic_test(fit, cov, coords)
+    x2 = _quadratic_test(fit, cov, edge, coords)
     df = len(coords)
     return EdgeTest(edge=edge, x2=x2, df=df, p=chi2_sf(x2, df), mode=mode)
 
@@ -142,7 +156,7 @@ def _group_edge_test(fit, cov, edges, mode=MODE_FULL):
         seen.add(edge)
         norm_edges.append(edge)
         coords.extend(block)
-    x2 = _quadratic_test(fit, cov, coords)
+    x2 = _quadratic_test(fit, cov, tuple(norm_edges), coords)
     df = len(coords)
     return EdgeTest(edge=tuple(norm_edges), x2=x2, df=df, p=chi2_sf(x2, df), mode=mode)
 
@@ -281,6 +295,34 @@ def test_edge_tests_match_per_pair_loop(data):
         group = [(k, j) if i % 2 else (j, k) for i, (j, k) in enumerate(group)]
         assert_same_tests([group_edge_test(fit, cov, group, mode)],
                           [_group_edge_test(fit, cov, group, mode)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_tests_equal_lone_tests_bit_for_bit(data):
+    """Every pair and several edge groups, compared through the bytes of x2
+    and p, so a last-bit change or a -0.0 cannot pass."""
+    d = data.draw(st.integers(2, 8), label="d")
+    m = param_dim(d)
+    n = data.draw(st.integers(5 * m, 5 * m + 600), label="n")
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    mode = data.draw(st.sampled_from(MODES), label="mode")
+    groups = data.draw(st.lists(st.lists(st.sampled_from(edge_list(d)), min_size=1, unique=True),
+                                min_size=1, max_size=4), label="groups")
+    X = chain_sample(d, n, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    fit = fit_closed_form(X, family=family)
+    cov = asymptotic_cov(X, fit.params, moments=fit.moments)
+
+    expected = outcome(_edge_test_loop, fit, cov, mode)
+    if isinstance(expected, tuple):  # the family masks the mode
+        assert outcome(edge_tests, fit, cov, mode) == expected
+        return
+    new = edge_tests(fit, cov, mode) + [group_edge_test(fit, cov, g, mode) for g in groups]
+    old = expected + [_group_edge_test(fit, cov, g, mode) for g in groups]
+    assert [(t.edge, t.df, t.mode) for t in new] == [(t.edge, t.df, t.mode) for t in old]
+    for field in ("x2", "p"):
+        assert (np.array([getattr(t, field) for t in new]).tobytes()
+                == np.array([getattr(t, field) for t in old]).tobytes())
 
 
 @pytest.mark.parametrize("family,edges,mode", [
