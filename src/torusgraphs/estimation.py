@@ -19,8 +19,9 @@ O(d^3). The closed-form fit solves Gamma_hat phi = H_hat by conjugate
 gradients through those products, with a condition guard read off the
 Lanczos tridiagonal that CG's coefficients form, and the group lasso works
 through products alone. The only dense Gamma the package builds is the
-active block that the sandwich covariance factors, made fresh where it is
-factored. One walk over the data
+lower triangle of the active block that the sandwich covariance factors,
+written into a buffer whose upper half is never mapped and factored there.
+One walk over the data
 (:func:`_derivative_walk`) feeds each node's derivative rows both to the Gram
 blocks and to the sandwich covariance's residual rows, so a test reads each
 data row once.
@@ -53,6 +54,7 @@ from .model import (
 )
 
 _CHUNK = 256
+_NORM_PANEL = 32
 _COND_LIMIT = 1e12
 _CG_RTOL = 1e-14
 _LASSO_MAX_ITER = 20000
@@ -82,15 +84,6 @@ class GammaOperator:
         out = np.matmul(self.blocks, v[self.position][:, :, None])
         return np.bincount(self.position.ravel(), weights=out.ravel(), minlength=self.size)
 
-    def dense(self):
-        """Gamma_hat on the set as a new C-ordered m-square array. ``add.at``
-        is unbuffered and runs in C order, so each cell gets its blocks'
-        entries in node order onto both triangles: the result is exactly
-        symmetric and may be factored in place. Padding adds zeros."""
-        G = np.zeros(self.shape)
-        np.add.at(G, (self.position[:, :, None], self.position[:, None, :]), self.blocks)
-        return G
-
 
 @dataclass(frozen=True)
 class ScoreMatchingMoments:
@@ -101,8 +94,8 @@ class ScoreMatchingMoments:
     that depend on it (their coordinates are row l of
     ``model._derivative_table(d)[0]``). Gamma_hat is the sum of the blocks
     placed on those coordinates; it is applied by :meth:`gamma_dot`, applied
-    on a coordinate subset by :meth:`gamma_operator` and assembled on one by
-    :meth:`gamma_block`, which scatters that operator's blocks. ``h_hat`` is
+    on a coordinate subset by :meth:`gamma_operator`, and its lower triangle
+    on one is written by :meth:`gamma_lower`. ``h_hat`` is
     (2d^2,), and ``n`` the sample count the moments average over.
     """
 
@@ -150,11 +143,38 @@ class ScoreMatchingMoments:
         position = np.where(valid, np.take_along_axis(table, order, axis=1), 0)
         return GammaOperator(blocks, position, coords.size)
 
-    def gamma_block(self, coords):
-        """Gamma_hat restricted to ``coords`` (distinct coordinates), as a new
-        C-ordered, exactly symmetric array: the scatter of
-        :meth:`gamma_operator`'s blocks (:meth:`GammaOperator.dense`)."""
-        return self.gamma_operator(coords).dense()
+    def gamma_lower(self, coords):
+        """Gamma_hat restricted to ``coords`` (distinct coordinates), written
+        onto the lower triangle of a new Fortran-ordered array whose strict
+        upper half is never written (:func:`_lower_buffer`), for
+        :func:`_checked_cholesky`. The blocks are added in node order, each
+        onto the cells of its coordinates' lower triangle, so a cell holds
+        the same sum as in a scatter of both triangles."""
+        coords = np.asarray(coords, dtype=int)
+        m = coords.size
+        G = _lower_buffer(m)
+        cells = G.reshape(-1, order="F")  # a view: cell (i, j) is i + m j
+        table = _positions(self.h_hat.size, coords)[_derivative_table(self.d)[0]]
+        for pos, B in zip(table, self.blocks):
+            lower = (pos[:, None] >= pos) & (pos >= 0)
+            # one node's cells are distinct, so the buffered add adds each entry once
+            cells[(pos[:, None] + m * pos)[lower]] += B[lower]
+        return G
+
+
+def _lower_buffer(m):
+    """A new Fortran-ordered m-square array of zeros in anonymous memory
+    without huge pages. A page becomes resident when it is first written, so
+    the strict upper half of a triangle that is never written costs no
+    memory. numpy would give an array this large huge pages, and each of
+    those spans both triangles. The mapping is released with the last array
+    that views it."""
+    import mmap  # only the sandwich needs it
+
+    buf = mmap.mmap(-1, max(8 * m * m, 1))
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, count=m * m).reshape((m, m), order="F")
 
 
 def _positions(size, coords):
@@ -298,13 +318,17 @@ def _checked_cholesky(G, n, m_total):
     """Cholesky factor (for scipy.linalg.cho_solve) of a moment block, with a
     1-norm condition estimate guard.
 
-    G is factored where it lies and is overwritten: callers pass a fresh copy
-    of an exactly symmetric block, whose transpose is the Fortran-ordered
-    array LAPACK works on.
+    One triangle is read and factored where it lies, overwriting G: the
+    lower triangle of G when G is Fortran-ordered, as
+    :meth:`ScoreMatchingMoments.gamma_lower` writes it, and otherwise that
+    of G's transpose, the Fortran-ordered view of a C-ordered exactly
+    symmetric block. The guard's 1-norm is the symmetric matrix's, read off
+    that triangle (:func:`_symmetric_norm1`).
     """
-    anorm = scipy.linalg.lapack.dlange("1", G.T) if G.size else 0.0
+    L = G if G.flags.f_contiguous else G.T
+    anorm = _symmetric_norm1(L)
     try:
-        cho = scipy.linalg.cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
+        cho = scipy.linalg.cho_factor(L, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise _singular(n, m_total) from exc
     if G.size == 0:
@@ -313,6 +337,26 @@ def _checked_cholesky(G, n, m_total):
     if info != 0 or rcond <= 0 or 1.0 / rcond > _COND_LIMIT:
         raise _ill_conditioned(np.inf if rcond <= 0 else 1.0 / rcond, n, m_total)
     return cho
+
+
+def _symmetric_norm1(L):
+    """1-norm of the symmetric matrix whose lower triangle is that of the
+    square L, read without touching L above its diagonal but for a
+    _NORM_PANEL-wide band: column j sums |L[j:, j]| and |L[j, :j]|. L is read
+    in panels of _NORM_PANEL columns through one m x _NORM_PANEL work
+    array."""
+    m = L.shape[0]
+    sums = np.zeros(m)
+    work = np.empty((m, _NORM_PANEL), order="F")
+    above = np.triu(np.ones((_NORM_PANEL, _NORM_PANEL), dtype=bool), 1)
+    for a in range(0, m, _NORM_PANEL):
+        w = min(_NORM_PANEL, m - a)
+        panel = np.abs(L[a:, a : a + w], out=work[: m - a, :w])
+        panel[:w][above[:w, :w]] = 0.0
+        sums[a : a + w] += panel.sum(axis=0)  # the columns, diagonal included
+        np.fill_diagonal(panel, 0.0)
+        sums[a:] += panel.sum(axis=1)  # the rows left of the diagonal
+    return float(sums.max()) if m else 0.0
 
 
 def _singular(n, m_total):

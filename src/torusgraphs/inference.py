@@ -92,12 +92,13 @@ def asymptotic_cov(data, params, moments=None):
     coordinates, V_hat = R'R / N and Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1
     = F'F for the factor F = R Gamma_hat^-1 / sqrt(N), which is all that is
     formed. R comes from the moments' walk over the data, which also
-    accumulates the moments when none are passed. The active Gamma block is
-    assembled from the moments' node blocks
-    (:meth:`ScoreMatchingMoments.gamma_block`) and factored in place, and the
-    solve against R is written into R, so those two are the only large
-    arrays. Tests read small blocks of Sigma through
-    :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
+    accumulates the moments when none are passed. The lower triangle of the
+    active Gamma block is written from the moments' node blocks
+    (:meth:`ScoreMatchingMoments.gamma_lower`) into a buffer whose upper
+    half is never mapped, and factored there; the solve against R is written
+    into R. So the triangle and R are the only large arrays, and the
+    triangle costs half an m-square array. Tests read small blocks of Sigma
+    through :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
     coefficient vector. Raises SingularMomentsError when the active block is
     singular or its condition estimate exceeds 1e12, as the closed-form fit
     does.
@@ -109,7 +110,7 @@ def asymptotic_cov(data, params, moments=None):
     m = param_dim(d)
     idx = np.nonzero(params.active)[0]
     moments, R = _derivative_walk(X, params.phi, idx, moments)
-    cho = _checked_cholesky(moments.gamma_block(idx), moments.n, m)
+    cho = _checked_cholesky(moments.gamma_lower(idx), moments.n, m)
     # R' is Fortran-ordered, so the solve overwrites R with R Gamma^-1
     scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
     R *= 1.0 / np.sqrt(n)
@@ -284,21 +285,24 @@ def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
     """Threshold edgewise tests into a graph.
 
     P-values are adjusted by :func:`correct_pvalues` over all the tests.
-    Duplicate edges are rejected, (j, k) and (k, j) being one edge; ``d`` is
-    inferred from the largest node index when not given.
+    ``d`` is inferred from the largest node index when not given. Self-loops,
+    nodes outside [0, d) and duplicate edges, (j, k) and (k, j) being one
+    edge, are rejected.
     """
     tests = list(tests)
     p_corr = correct_pvalues([t.p for t in tests], correction)
     if not 0 < alpha <= 1:
         raise DomainError("alpha must be in (0, 1]")
+    if d is None:
+        d = 1 + max((max(t.edge) for t in tests), default=0)
     seen = set()
     for t in tests:
         edge = (min(t.edge), max(t.edge))
+        if not 0 <= edge[0] < edge[1] < d:
+            raise DomainError(f"invalid edge {t.edge} for d={d}")
         if edge in seen:
             raise DomainError(f"duplicate edge {t.edge}")
         seen.add(edge)
-    if d is None:
-        d = 1 + max((max(t.edge) for t in tests), default=0)
     jj, kk = np.array([t.edge for t in tests], dtype=int).reshape(-1, 2).T
     adjacency = np.zeros((d, d), dtype=bool)
     pvals = np.ones((d, d))

@@ -2,8 +2,13 @@
 
 ``jacobian_D`` and ``gamma_H_of_sample`` give the dense per-sample definition
 of the score-matching moments, Gamma(x) = D D^T and H(x) = [S1, 2 S2], and
-``gamma_hat`` assembles the full 2d^2-square Gamma_hat of the package's node
-blocks, which no package path builds beyond the active block it factors.
+``gamma_hat`` mirrors the package's lower triangle of Gamma_hat on every
+coordinate into the full 2d^2-square array, which no package path builds.
+``gamma_block`` is the package's former dense assembly of Gamma_hat on a
+coordinate set (``ScoreMatchingMoments.gamma_block`` and
+``GammaOperator.dense``, kept verbatim in one function that takes the moments
+as an argument), the oracles' factored block: a scatter onto both triangles,
+of which the package now writes the lower one alone.
 ``_h_rows`` and ``_stat_chunks`` are the chunk helpers the former moment and
 sandwich routines (kept as oracles) were written with. All of them are built
 from the package's derivative table and statistics, so the finite-difference
@@ -50,8 +55,23 @@ def gamma_H_of_sample(x):
     return D @ D.T, _h_rows(suff_stats_batch(x), x.size)[0]
 
 
+def gamma_block(moments, coords):
+    """Gamma_hat restricted to ``coords`` (distinct coordinates), as a new
+    C-ordered, exactly symmetric array: the scatter of the blocks of
+    ``moments.gamma_operator(coords)``. ``add.at`` is unbuffered and runs in
+    C order, so each cell gets its blocks' entries in node order onto both
+    triangles. Padding adds zeros."""
+    op = moments.gamma_operator(coords)
+    G = np.zeros(op.shape)
+    np.add.at(G, (op.position[:, :, None], op.position[:, None, :]), op.blocks)
+    return G
+
+
 def gamma_hat(moments):
-    """The full 2d^2-square Gamma_hat of ScoreMatchingMoments (read-only)."""
-    G = moments.gamma_block(np.arange(moments.h_hat.size))
+    """The full 2d^2-square Gamma_hat of ScoreMatchingMoments as a C-ordered,
+    read-only array: the package's lower triangle on every coordinate
+    (``gamma_lower``) and its mirror image."""
+    L = moments.gamma_lower(np.arange(moments.h_hat.size))
+    G = np.ascontiguousarray(np.tril(L) + np.tril(L, -1).T)
     G.flags.writeable = False
     return G

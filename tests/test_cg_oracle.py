@@ -31,6 +31,8 @@ from torusgraphs.model import Family, TorusGraphParams, edge_list, param_dim
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
+from derivative_oracle import gamma_block
+
 ATOL = 1e-12
 RESIDUAL = 1e-10
 
@@ -48,7 +50,7 @@ def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     family = Family(family)
     idx = _active_indices(d, family, zero_edges)
     b = moments.h_hat[idx]
-    cho = _checked_cholesky(moments.gamma_block(idx), moments.n, param_dim(d))
+    cho = _checked_cholesky(gamma_block(moments, idx), moments.n, param_dim(d))
     phi = np.zeros(param_dim(d))
     phi[idx] = scipy.linalg.cho_solve(cho, b, check_finite=False)
     params = TorusGraphParams(d=d, phi=phi, family=family)

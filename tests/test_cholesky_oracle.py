@@ -2,11 +2,13 @@
 
 ``_checked_cholesky`` below is the package's former routine, kept verbatim
 as the oracle: it builds |G| for the 1-norm and lets ``cho_factor`` copy G.
-The package takes the 1-norm with LAPACK and factors G where it lies. LAPACK
-sees the same matrix either way, so the sandwich factor must be bitwise equal
-through both routines, and the package routine must allocate less than one
-more m x m array. The closed-form fit no longer factors: it is gated against
-the Cholesky fit in test_cg_oracle.py.
+The package reads one triangle: it takes the symmetric matrix's 1-norm from
+it and factors it where it lies. LAPACK sees the same lower triangle either
+way, so the sandwich factor must be bitwise equal through both routines, the
+package routine must allocate less than one more m x m array, and nothing
+above the diagonal of the triangle it is given may change its result. The
+closed-form fit no longer factors: it is gated against the Cholesky fit in
+test_cg_oracle.py.
 """
 
 import tracemalloc
@@ -84,3 +86,37 @@ def test_factors_in_place():
     finally:
         tracemalloc.stop()
     assert peak < G.nbytes
+
+
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 100])
+def test_triangle_norm_is_symmetric_norm(m):
+    rng = np.random.default_rng(445 + m)
+    A = rng.normal(size=(m, m))
+    A += A.T
+    L = np.asfortranarray(np.tril(A))
+    L[np.triu_indices(m, 1)] = np.nan  # not part of the triangle
+    expected = scipy.linalg.lapack.dlange("1", A)
+    assert estimation._symmetric_norm1(L) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_factors_one_triangle():
+    d = 3
+    X = coupled_sample(d, 300, seed=446)
+    G = gamma_hat(accumulate_moments(X))
+    L = np.asfortranarray(np.tril(G))
+    L[np.triu_indices(L.shape[0], 1)] = np.nan
+    ref = estimation._checked_cholesky(G.copy(), X.shape[0], param_dim(d))
+    cho = estimation._checked_cholesky(L, X.shape[0], param_dim(d))
+    assert np.shares_memory(cho[0], L)
+    assert np.tril(cho[0]).tobytes() == np.tril(ref[0]).tobytes()
+
+
+@pytest.mark.parametrize("small, singular", [(1e-11, False), (1e-13, True)])
+def test_triangle_guard(small, singular):
+    L = np.asfortranarray(np.diag([1.0, small, 1.0]))
+    L[np.triu_indices(3, 1)] = np.nan
+    if singular:
+        with pytest.raises(SingularMomentsError, match="ill-conditioned"):
+            estimation._checked_cholesky(L, 100, 3)
+    else:
+        estimation._checked_cholesky(L, 100, 3)

@@ -338,6 +338,19 @@ class TestBuildGraph:
         with pytest.raises(DomainError, match=r"^duplicate edge \(2, 0\)$"):
             build_graph(tests, alpha=0.05)
 
+    @pytest.mark.parametrize("p", [0.5, 0.01])
+    def test_self_loop_rejected(self, p):
+        # it would write p onto the diagonal, which holds 1.0
+        tests = self._tests([0.5, 0.5, 0.5]) + [EdgeTest(edge=(1, 1), x2=1.0, df=4, p=p)]
+        with pytest.raises(DomainError, match=r"^invalid edge \(1, 1\) for d=3$"):
+            build_graph(tests, alpha=0.05)
+
+    @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-1, 2)])
+    def test_node_outside_range_rejected(self, edge):
+        tests = [EdgeTest(edge=edge, x2=1.0, df=4, p=0.5)]
+        with pytest.raises(DomainError, match=r"^invalid edge .* for d=3$"):
+            build_graph(tests, alpha=0.05, d=3)
+
 
 class TestCorrectPvalues:
     def test_none_keeps_pvalues(self):

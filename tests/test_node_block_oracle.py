@@ -7,18 +7,18 @@ dense 2d^2-square Gamma and the chunk matrices are tree-reduced. The package
 keeps one (4d - 2)-square Gram block per node instead; Gamma products, the
 blocks it assembles and the coefficients solved from them must agree with
 the oracle to 1e-12 absolute, and no package path may assemble the full
-Gamma_hat (a ``gamma_block`` of every coordinate) other than as the active
-block that a sandwich factors where it is made. The closed-form fit and the
-group lasso assemble no block: their products with Gamma on the active
-coordinates go through the node blocks and must agree with the assembled
-block's to 1e-12 absolute, and the lasso's Lanczos step size with the
-block's largest eigenvalue to 1e-10 relative.
+Gamma_hat (a ``gamma_lower`` triangle of every coordinate) other than as the
+active block that a sandwich factors where it is written. The closed-form
+fit and the group lasso assemble no block: their products with Gamma on the
+active coordinates go through the node blocks and must agree with the
+assembled block's to 1e-12 absolute, and the lasso's Lanczos step size with
+the block's largest eigenvalue to 1e-10 relative.
 
 ``gamma_block`` below is the former method of that name, kept verbatim but
 for taking the moments as an argument: a per-node ``np.ix_`` gather of each
-block onto the coordinate set. The package scatters the blocks of its
-``gamma_operator`` instead, and the result must equal the loop's byte for
-byte.
+block onto the coordinate set, on both triangles. The package writes the
+lower triangle alone (``gamma_lower``), and its buffer must equal the lower
+triangle of the loop's block byte for byte, with zeros above the diagonal.
 """
 
 import sys
@@ -178,10 +178,11 @@ def test_operator_matches_dense(data):
     assert abs(sm_objective(v, moments) - (0.5 * v @ ref.gamma_hat @ v - v @ ref.h_hat)) <= ATOL
     idx = _active_indices(d, family, zero_edges)
     for coords in (idx, rng.permutation(idx)[: max(1, idx.size // 2)]):
-        G = moments.gamma_block(coords)
-        assert G.flags.c_contiguous and G.flags.writeable
-        assert np.array_equal(G, G.T)
-        np.testing.assert_allclose(G, ref.gamma_hat[np.ix_(coords, coords)], rtol=0, atol=ATOL)
+        L = moments.gamma_lower(coords)
+        assert L.flags.f_contiguous and L.flags.writeable
+        assert not np.triu(L, 1).any()
+        np.testing.assert_allclose(L, np.tril(ref.gamma_hat[np.ix_(coords, coords)]),
+                                   rtol=0, atol=ATOL)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -206,11 +207,10 @@ def test_block_scatter_matches_loop(data):
         np.arange(0),
     )
     for coords in subsets:
-        G = moments.gamma_block(coords)
-        assert G.tobytes() == gamma_block(moments, coords).tobytes()
-        assert G.shape == (coords.size, coords.size)
-        assert G.flags.c_contiguous and G.flags.writeable
-        assert np.array_equal(G, G.T)
+        L = moments.gamma_lower(coords)
+        assert L.tobytes(order="F") == np.tril(gamma_block(moments, coords)).tobytes(order="F")
+        assert L.shape == (coords.size, coords.size)
+        assert L.flags.f_contiguous and L.flags.writeable
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -228,7 +228,7 @@ def test_active_operator_and_step_size_match_block(data):
     rng = np.random.default_rng(seed)
     idx = _active_indices(d, family, zero_edges)
     for coords in (idx, rng.permutation(idx)[: max(1, idx.size // 2)]):
-        G, block = moments.gamma_operator(coords), moments.gamma_block(coords)
+        G, block = moments.gamma_operator(coords), gamma_block(moments, coords)
         assert G.shape == block.shape
         v = rng.normal(size=coords.size)
         np.testing.assert_allclose(G @ v, block @ v, rtol=0, atol=ATOL)
@@ -283,14 +283,14 @@ def test_no_full_gamma_allocated(d, n):
     assert _peak_bytes(estimation.fit_group_lasso, X, lam=0.1) < full
 
 
-# the functions that factor the active block they assemble; under the full
+# the functions that factor the active block they write; under the full
 # family with no zeroed edge that block has every coordinate
 FACTORING = {"asymptotic_cov"}
 
 
 @pytest.fixture
 def no_gamma_hat(monkeypatch):
-    inner = ScoreMatchingMoments.gamma_block
+    inner = ScoreMatchingMoments.gamma_lower
 
     def guarded(self, coords):
         full = np.asarray(coords).size == self.h_hat.size
@@ -298,7 +298,7 @@ def no_gamma_hat(monkeypatch):
             raise AssertionError("the full Gamma_hat was assembled")
         return inner(self, coords)
 
-    monkeypatch.setattr(ScoreMatchingMoments, "gamma_block", guarded)
+    monkeypatch.setattr(ScoreMatchingMoments, "gamma_lower", guarded)
 
 
 def test_gamma_hat_guard_raises(no_gamma_hat):

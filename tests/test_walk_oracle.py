@@ -35,7 +35,7 @@ from torusgraphs.model import Family, TorusGraphParams, _derivative_table, edge_
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
-from derivative_oracle import _h_rows, _stat_chunks
+from derivative_oracle import _h_rows, _stat_chunks, gamma_block
 
 
 def accumulate_moments(data):
@@ -80,7 +80,7 @@ def asymptotic_cov(data, params, moments=None):
     coordinates, V_hat = R'R / N and Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1
     = F'F for the factor F = R Gamma_hat^-1 / sqrt(N), which is all that is
     formed: the active Gamma block is assembled from the moments' node blocks
-    (:meth:`ScoreMatchingMoments.gamma_block`) and factored in place, and the
+    (``derivative_oracle.gamma_block``) and factored in place, and the
     solve against R is written into R, so those two are the only large
     arrays. Tests read small blocks of Sigma through
     :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
@@ -95,7 +95,7 @@ def asymptotic_cov(data, params, moments=None):
         moments = accumulate_moments(X)
     m = param_dim(d)
     idx = np.nonzero(params.active)[0]
-    cho = _checked_cholesky(moments.gamma_block(idx), moments.n, m)
+    cho = _checked_cholesky(gamma_block(moments, idx), moments.n, m)
     phi = params.phi
     table = _derivative_table(d)
     R = np.empty((n, idx.size))
