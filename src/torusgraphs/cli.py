@@ -272,14 +272,16 @@ def _resolve_channels(text, ds, flag):
     for token in text.split(","):
         token = token.strip()
         if token in ds.channel_names:
-            out.append(ds.channel_names.index(token))
-            continue
-        try:
-            idx = int(token)
-        except ValueError:
-            raise DomainError(f"{flag}: unknown channel {token!r}") from None
-        if not 0 <= idx < ds.d:
-            raise DomainError(f"{flag}: channel index {idx} out of range for d={ds.d}")
+            idx = ds.channel_names.index(token)
+        else:
+            try:
+                idx = int(token)
+            except ValueError:
+                raise DomainError(f"{flag}: unknown channel {token!r}") from None
+            if not 0 <= idx < ds.d:
+                raise DomainError(f"{flag}: channel index {idx} out of range for d={ds.d}")
+        if idx in out:
+            raise DomainError(f"{flag}: channel {ds.channel_names[idx]} is listed twice")
         out.append(idx)
     if not out:
         raise DomainError(f"{flag} must list at least one channel")

@@ -45,9 +45,9 @@ from .exceptions import ConvergenceError, DomainError, SingularMomentsError
 from .model import (
     Family,
     TorusGraphParams,
+    _canonical_pairs,
     _derivative_table,
     coupling_coords,
-    edge_rank,
     family_mask,
     param_dim,
     suff_stats_batch,
@@ -304,7 +304,7 @@ class FitResult:
 
 def _active_indices(d, family, zero_edges=None):
     active = family_mask(d, family)
-    active[coupling_coords(d)[[edge_rank(d, j, k) for j, k in zero_edges or ()]]] = False
+    active[coupling_coords(d)[_canonical_pairs(d, zero_edges or ())[1]]] = False
     return np.nonzero(active)[0]
 
 
@@ -444,8 +444,9 @@ def _conjugate_gradient(G, b, n, m_total):
 def fit_closed_form(data, family=Family.FULL, zero_edges=None, moments=None):
     """Solve the estimating equation on the family's active coordinate set.
 
-    Masked coordinates are removed from the system (exact affine restriction)
-    and re-embedded as zeros. Gamma_hat phi = H_hat is solved on that set by
+    Masked coordinates and the blocks of ``zero_edges`` (pairs in either
+    order) are removed from the system (exact affine restriction) and
+    re-embedded as zeros. Gamma_hat phi = H_hat is solved on that set by
     conjugate gradients through the node blocks
     (:meth:`ScoreMatchingMoments.gamma_operator`), so no Gamma block is
     assembled; ``n_iter`` of the result counts the CG steps. Raises
@@ -593,7 +594,8 @@ def _fista(G, b, blocks, lam, step, tol):
 
 def fit_group_lasso(data, family=Family.FULL, lam=0.0, tol=1e-9, zero_edges=None, moments=None):
     """Group-penalized score matching: adds lam * sum over edges of the
-    coupling-block 2-norm (marginal blocks unpenalized).
+    coupling-block 2-norm (marginal blocks unpenalized), with the blocks of
+    ``zero_edges`` (pairs in either order) held at zero.
 
     Accelerated proximal gradient (group soft-thresholding, backtracking
     line search, momentum restarted on objective increase); converged when
@@ -629,8 +631,8 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     folds' pooled moments, and the trained coefficients are scored with the
     held-out moments. Each training fold's penalized system and step size
     are built once and shared by every weight in ``grid``, whose entries must
-    all be finite and >= 0. Returns (best lambda, table of (lambda, mean
-    loss)).
+    all be finite and >= 0; ``zero_edges`` are pairs in either order. Returns
+    (best lambda, table of (lambda, mean loss)).
     """
     return _cross_validate(data, family, folds, grid, seed, zero_edges, tol)[:2]
 

@@ -38,10 +38,9 @@ from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_
 from .model import (
     Family,
     TorusGraphParams,
+    _canonical_pairs,
     _edge_index_arrays,
     coupling_coords,
-    edge_list,
-    edge_rank,
     param_dim,
 )
 from .sampling import GibbsConfig, gibbs_sample
@@ -134,25 +133,17 @@ MODES = tuple(_MODE_OFFSETS)
 
 
 def _edge_coords(params, edges, mode):
-    """Validated distinct edges as (j, k) with j < k, and an (edges, block size)
+    """The edges, checked, as (j, k) with j < k, and an (edges, block size)
     array of the coordinates ``mode`` tests on each, read off the coupling table."""
-    d = params.d
-    norm = {}  # an ordered set
-    for j, k in edges:
-        if not (0 <= j < d and 0 <= k < d and j != k):
-            raise DomainError(f"invalid edge ({j}, {k}) for d={d}")
-        edge = (min(j, k), max(j, k))
-        if edge in norm:
-            raise DomainError(f"duplicate edge {edge}")
-        norm[edge] = None
+    pairs, ranks = _canonical_pairs(params.d, edges)
     if mode not in _MODE_OFFSETS:
         raise DomainError(f"unknown test mode {mode!r}")
-    coords = coupling_coords(d)[[edge_rank(d, j, k) for j, k in norm]][:, _MODE_OFFSETS[mode]]
+    coords = coupling_coords(params.d)[ranks][:, _MODE_OFFSETS[mode]]
     if not params.active[coords].all():
         raise FamilyScopeError(
             f"mode {mode!r} tests coordinates masked by family {params.family.value!r}"
         )
-    return list(norm), coords
+    return list(map(tuple, pairs.tolist())), coords
 
 
 def _quadratic_tests(fit, cov, tested, coords, mode):
@@ -192,14 +183,15 @@ def _quadratic_tests(fit, cov, tested, coords, mode):
 
 def edge_test(fit, cov, j, k, mode=MODE_FULL):
     """Chi-squared test of one coupling block (or its rotational /
-    reflectional half) against zero; df equals the tested block size."""
+    reflectional half) against zero, of a pair in either order; df equals the
+    tested block size."""
     edges, coords = _edge_coords(fit.params, [(j, k)], mode)
     return _quadratic_tests(fit, cov, edges, coords, mode)[0]
 
 
 def edge_tests(fit, cov, mode=MODE_FULL):
     """:func:`edge_test` of every pair, in canonical edge order, as one stack."""
-    edges, coords = _edge_coords(fit.params, edge_list(fit.params.d), mode)
+    edges, coords = _edge_coords(fit.params, np.transpose(_edge_index_arrays(fit.params.d)), mode)
     return _quadratic_tests(fit, cov, edges, coords, mode)
 
 
@@ -207,6 +199,7 @@ def group_edge_test(fit, cov, edges, mode=MODE_FULL):
     """Joint chi-squared test that every edge in the group is absent.
 
     df is (block size) x (number of edges), e.g. 40 rotational edges -> 80.
+    The pairs may be given in either order, each once.
     """
     if not edges:
         raise DomainError("need at least one edge")
@@ -265,7 +258,7 @@ class GraphStructure:
 
     @property
     def edges(self):
-        return [(j, k) for j in range(self.d) for k in range(j + 1, self.d) if self.adjacency[j, k]]
+        return list(map(tuple, np.argwhere(np.triu(self.adjacency, 1)).tolist()))
 
 
 def correct_pvalues(pvals, correction):
@@ -285,9 +278,9 @@ def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
     """Threshold edgewise tests into a graph.
 
     P-values are adjusted by :func:`correct_pvalues` over all the tests.
-    ``d`` is inferred from the largest node index when not given. Self-loops,
-    nodes outside [0, d) and duplicate edges, (j, k) and (k, j) being one
-    edge, are rejected.
+    ``d`` is inferred from the largest node index when not given. Pairs in
+    either order are taken; self-loops, nodes outside [0, d) and a pair
+    tested twice, (j, k) and (k, j) being one pair, are rejected.
     """
     tests = list(tests)
     p_corr = correct_pvalues([t.p for t in tests], correction)
@@ -295,23 +288,18 @@ def build_graph(tests, alpha, correction=CORRECTION_NONE, d=None):
         raise DomainError("alpha must be in (0, 1]")
     if d is None:
         d = 1 + max((max(t.edge) for t in tests), default=0)
-    seen = set()
-    for t in tests:
-        edge = (min(t.edge), max(t.edge))
-        if not 0 <= edge[0] < edge[1] < d:
-            raise DomainError(f"invalid edge {t.edge} for d={d}")
-        if edge in seen:
-            raise DomainError(f"duplicate edge {t.edge}")
-        seen.add(edge)
-    jj, kk = np.array([t.edge for t in tests], dtype=int).reshape(-1, 2).T
+    return _graph_of(d, tests, p_corr, p_corr <= alpha, float(alpha), correction)
+
+
+def _graph_of(d, tests, p_corr, significant, alpha, correction):
+    """The graph of tests on pairs in either order, given their corrected p and decision."""
+    jj, kk = _canonical_pairs(d, [t.edge for t in tests])[0].T
     adjacency = np.zeros((d, d), dtype=bool)
     pvals = np.ones((d, d))
     pvals[jj, kk] = pvals[kk, jj] = p_corr
-    adjacency[jj, kk] = adjacency[kk, jj] = p_corr <= alpha
-    return GraphStructure(
-        d=d, adjacency=adjacency, pvals=pvals, alpha=float(alpha),
-        correction=correction, tests=tuple(tests),
-    )
+    adjacency[jj, kk] = adjacency[kk, jj] = significant
+    return GraphStructure(d=d, adjacency=adjacency, pvals=pvals, alpha=alpha,
+                          correction=correction, tests=tuple(tests))
 
 
 def partial_plv(fit, j, k):
@@ -397,11 +385,12 @@ def bootstrap_null_test(
     from it by Gibbs sampling; for each, the penalty weight is re-selected by
     cross-validation and an unrestricted model refitted. The statistic
     (computed over the tested edge set) yields the rank p-value
-    (1 + #{bootstrap >= observed}) / (B + 1).
+    (1 + #{bootstrap >= observed}) / (B + 1). The null edges are pairs in
+    either order, each once, checked before any fit.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    n = X.shape[0]
-    null_edges = [(min(j, k), max(j, k)) for j, k in null_edges]
+    n, d = X.shape
+    null_edges = _canonical_pairs(d, null_edges)[0].tolist()
     if not null_edges:
         raise DomainError("need at least one null edge")
     if B < 19:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circular import wrap_angle
 from .exceptions import DomainError, ParseError, SchemaError
-from .inference import CORRECTIONS, MODES, EdgeTest, GraphStructure
+from .inference import CORRECTIONS, MODES, EdgeTest, _graph_of
 from .model import Family, TorusGraphParams, param_dim
 from .simulation import GeneratorSpec
 
@@ -215,32 +215,21 @@ def graph_from_dict(doc):
     d = _require(doc, "d", int)
     alpha = float(_require(doc, "alpha", (int, float)))
     correction = _require(doc, "correction", str)
-    edges = _require(doc, "edges", list)
-    adjacency = np.zeros((d, d), dtype=bool)
-    pvals = np.ones((d, d))
-    tests = []
-    for e in edges:
-        j = _require(e, "j", int)
-        k = _require(e, "k", int)
-        if not (0 <= j < d and 0 <= k < d and j != k):
-            raise SchemaError(f"edge ({j}, {k}) out of range for d={d}")
+    tests, p_corr, significant = [], [], []
+    for e in _require(doc, "edges", list):
         tests.append(
             EdgeTest(
-                edge=(j, k),
+                edge=(_require(e, "j", int), _require(e, "k", int)),
                 x2=float(_require(e, "x2", (int, float))),
                 df=int(_require(e, "df", int)),
                 p=float(_require(e, "p", (int, float))),
                 mode=e.get("mode", "full"),
             )
         )
-        pvals[j, k] = pvals[k, j] = float(_require(e, "p_corrected", (int, float)))
-        if _require(e, "significant", bool):
-            adjacency[j, k] = adjacency[k, j] = True
+        p_corr.append(float(_require(e, "p_corrected", (int, float))))
+        significant.append(_require(e, "significant", bool))
     try:
-        return GraphStructure(
-            d=d, adjacency=adjacency, pvals=pvals, alpha=alpha,
-            correction=correction, tests=tuple(tests),
-        )
+        return _graph_of(d, tests, p_corr, significant, alpha, correction)
     except Exception as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -55,10 +55,36 @@ def marginal_slice(j):
 
 
 def edge_rank(d, j, k):
-    """Position of edge (j, k) in the lexicographic enumeration."""
+    """Position of edge (j, k), j < k strictly (as (k, j) flips the sine terms)."""
     if not (0 <= j < k < d):
         raise DomainError(f"invalid edge ({j}, {k}) for dimension {d}")
-    return j * d - j * (j + 1) // 2 + (k - j - 1)
+    return int(_canonical_pairs(d, [(j, k)])[1][0])
+
+
+def _canonical_pairs(d, pairs):
+    """The one check of node pairs given in either order: returns them as an
+    (E, 2) int array with j < k, in the given order, and their ranks. Raises
+    DomainError on a non-integer entry (a bool is not one), or names the
+    first pair with a node outside [0, d), a self-loop or a repeat."""
+    given = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    a = np.asarray(given) if len(given) else np.zeros((0, 2), dtype=np.intp)
+    # a list mixing bools with ints reads as ints, so its entries are looked at
+    if (a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iu"
+            or a is not given and any(isinstance(v, (bool, np.bool_)) for p in given for v in p)):
+        raise DomainError("edges must be (j, k) pairs of integer node indices")
+    canon = np.sort(a, axis=1).astype(np.intp)
+    j, k = canon.T
+    valid = (j >= 0) & (k < d) & (j != k)
+    ranks = np.where(valid, j * d - j * (j + 1) // 2 + (k - j - 1), -1 - np.arange(len(canon)))
+    bad = np.ones(len(canon), dtype=bool)  # a repeat: all but the first pair of each rank
+    bad[np.unique(ranks, return_index=True)[1]] = False
+    bad |= ~valid
+    if bad.any():
+        i = int(np.argmax(bad))
+        if valid[i]:
+            raise DomainError(f"duplicate edge {tuple(canon[i].tolist())}")
+        raise DomainError(f"invalid edge {tuple(a[i].tolist())} for d={d}")
+    return canon, ranks
 
 
 def coupling_slice(d, j, k):

@@ -21,7 +21,14 @@ from .circular import von_mises_sample, wrap_angle
 from .estimation import fit_closed_form
 from .exceptions import DomainError, SchemaError, add_context
 from .inference import asymptotic_cov, correct_pvalues, edge_tests, plv_tests
-from .model import Family, TorusGraphParams, _edge_index_arrays, coupling_coords, param_dim
+from .model import (
+    Family,
+    TorusGraphParams,
+    _canonical_pairs,
+    _edge_index_arrays,
+    coupling_coords,
+    param_dim,
+)
 from .sampling import GibbsConfig, gibbs_sample, gibbs_sample_chains
 
 FPR_GRID_SIZE = 512
@@ -29,20 +36,16 @@ FPR_GRID_SIZE = 512
 
 @dataclass(frozen=True)
 class TruthGraph:
-    """Ground-truth edge set; pairs are normalized to j < k."""
+    """Ground-truth edge set of pairs given in either order, stored as j < k."""
 
     d: int
     edges: frozenset
 
     def __post_init__(self):
-        norm = set()
-        for j, k in self.edges:
-            if j == k:
-                raise DomainError("self-loops are not allowed")
-            if not (0 <= j < self.d and 0 <= k < self.d):
-                raise DomainError(f"edge ({j}, {k}) out of range for d={self.d}")
-            norm.add((min(j, k), max(j, k)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        # a set: a pair listed in both orders is one edge
+        distinct = {frozenset(e): e for e in self.edges}
+        pairs = _canonical_pairs(self.d, list(distinct.values()))[0]
+        object.__setattr__(self, "edges", frozenset(map(tuple, pairs.tolist())))
 
     def has_edge(self, j, k):
         return (min(j, k), max(j, k)) in self.edges

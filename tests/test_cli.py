@@ -334,6 +334,19 @@ class TestSummarizeDiffs:
             "summarize-diffs", str(data), "--graph", str(graph), "--between", "0", "1,2",
         ]) == 2
 
+    @pytest.mark.parametrize("group_a", ["ch01,ch01", "0,0", "ch01,0", "ch02,ch01,1"])
+    def test_repeated_channel_is_domain_error(self, tmp_path, chain_csv, capsys, group_a):
+        # a channel listed twice would pool its phase differences twice
+        data, _ = chain_csv
+        model, graph = tmp_path / "m.json", tmp_path / "g.json"
+        main(["fit", str(data), "--out", str(model)])
+        main(["test", str(data), "--model", str(model), "--alpha", "0.001",
+              "--correction", "bonferroni", "--out", str(graph)])
+        capsys.readouterr()
+        assert main(["summarize-diffs", str(data), "--graph", str(graph),
+                     "--between", group_a, "ch03,ch04,ch05"]) == 2
+        assert "is listed twice" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
