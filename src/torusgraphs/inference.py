@@ -43,7 +43,7 @@ from .model import (
     coupling_coords,
     param_dim,
 )
-from .sampling import GibbsConfig, gibbs_sample
+from .sampling import GibbsConfig, gibbs_sample, gibbs_sample_chains
 
 MODE_FULL = "full"
 MODE_ROTATIONAL = "rot"
@@ -159,15 +159,12 @@ def _quadratic_tests(fit, cov, tested, coords, mode):
     coords = np.ascontiguousarray(coords)
     phi = fit.params.phi[coords]
     sigma = cov.block(coords)
-    singular = np.zeros(len(tested), dtype=bool)
-    try:
-        sol = np.linalg.solve(sigma, phi[..., None])
-    except np.linalg.LinAlgError:
-        # solve rejects the whole stack; the LU of slogdet finds the same zero pivots
-        with np.errstate(invalid="ignore"):  # a NaN block is named below, not warned of
-            singular = np.linalg.slogdet(sigma)[0] == 0
-        sol = np.full(phi.shape + (1,), np.nan)
-        sol[~singular] = np.linalg.solve(sigma[~singular], phi[~singular, :, None])
+    # the LU of slogdet finds the zero pivots that would make solve reject the
+    # stack; a NaN block is named below, not warned of
+    with np.errstate(invalid="ignore", divide="ignore"):
+        singular = np.linalg.slogdet(sigma)[0] == 0
+    sol = np.full(phi.shape + (1,), np.nan)
+    sol[~singular] = np.linalg.solve(sigma[~singular], phi[~singular, :, None])
     x2 = ((fit.n * phi)[:, None, :] @ sol)[:, 0, 0]
     degenerate = singular | ~np.isfinite(x2)
     if degenerate.any():
@@ -355,15 +352,16 @@ def goodness_of_fit(data, fit, n_synth=2000, seed=0):
 
 STAT_NONZERO_EDGE_COUNT = "nonzero-edge-count"
 STAT_MAX_BLOCK_NORM = "max-block-norm"
+_STATISTICS = (STAT_NONZERO_EDGE_COUNT, STAT_MAX_BLOCK_NORM)
 
 
-def _bootstrap_statistic(params, edges, statistic):
-    norms = [np.linalg.norm(params.coupling_block(j, k)) for j, k in edges]
+def _bootstrap_statistic(phi, blocks, statistic):
+    """``statistic`` of the norms of the (edges, 4) coupling ``blocks`` of
+    ``phi``: one gather, each norm summed as _group_soft_threshold sums it."""
+    norms = np.linalg.norm(phi[blocks], axis=1)
     if statistic == STAT_NONZERO_EDGE_COUNT:
-        return float(sum(1 for v in norms if v > 0))
-    if statistic == STAT_MAX_BLOCK_NORM:
-        return float(max(norms))
-    raise DomainError(f"unknown bootstrap statistic {statistic!r}")
+        return float(np.count_nonzero(norms > 0))
+    return float(norms.max())
 
 
 def bootstrap_null_test(
@@ -382,46 +380,44 @@ def bootstrap_null_test(
 
     A null model is fitted with the tested blocks forced to zero (penalty
     weight by cross-validation); B data sets of the original size are drawn
-    from it by Gibbs sampling; for each, the penalty weight is re-selected by
-    cross-validation and an unrestricted model refitted. The statistic
-    (computed over the tested edge set) yields the rank p-value
-    (1 + #{bootstrap >= observed}) / (B + 1). The null edges are pairs in
-    either order, each once, checked before any fit.
+    from it in one multi-chain Gibbs run, all B x n x d angles at once; for
+    each, the penalty weight is re-selected by cross-validation and an
+    unrestricted model refitted. The statistic (computed over the tested edge
+    set) yields the rank p-value (1 + #{bootstrap >= observed}) / (B + 1).
+    Children 0, 1 and b + 2 of ``SeedSequence(seed).spawn(B + 3)`` seed the
+    cross-validation of the observed fit, the null fit and replicate b; child
+    B + 2 seeds the draw. The null edges (pairs in either order, each once),
+    B, the statistic and the burn-in are checked before any fit.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
-    null_edges = _canonical_pairs(d, null_edges)[0].tolist()
-    if not null_edges:
+    null_edges, ranks = _canonical_pairs(d, null_edges)
+    if not ranks.size:
         raise DomainError("need at least one null edge")
     if B < 19:
         raise DomainError("need B >= 19 bootstrap replicates")
+    if statistic not in _STATISTICS:
+        raise DomainError(f"unknown bootstrap statistic {statistic!r}")
     if grid is None:
         grid = np.geomspace(1e-3, 1.0, 7)
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(B + 3)]
+    draw = GibbsConfig(n_samples=n, burn_in=gibbs_burn_in, seed=seeds[B + 2])
+    blocks = coupling_coords(d)[ranks]
 
     def cv_fit(sample, cv_seed, zero_edges=None):
-        lam, _, moments = _cross_validate(
-            sample, family=family, folds=folds, grid=grid, seed=cv_seed,
-            zero_edges=zero_edges, tol=tol,
-        )
+        lam, _, moments = _cross_validate(sample, family=family, folds=folds, grid=grid,
+                                          seed=cv_seed, zero_edges=zero_edges, tol=tol)
         return fit_group_lasso(None, family=family, lam=lam, zero_edges=zero_edges, tol=tol,
                                moments=moments)
 
-    seeds = np.random.SeedSequence(seed).spawn(B + 2)
-    obs_fit = cv_fit(X, int(seeds[0].generate_state(1)[0]))
-    observed = _bootstrap_statistic(obs_fit.params, null_edges, statistic)
-    null_fit = cv_fit(X, int(seeds[1].generate_state(1)[0]), zero_edges=null_edges)
+    observed = _bootstrap_statistic(cv_fit(X, seeds[0]).params.phi, blocks, statistic)
+    null_fit = cv_fit(X, seeds[1], zero_edges=null_edges.tolist())
     exceed = 0
-    for b in range(B):
-        rep_seed = int(seeds[b + 2].generate_state(1)[0])
+    for b, Xb in enumerate(gibbs_sample_chains([null_fit.params] * B, draw)):
         try:
-            Xb = gibbs_sample(
-                null_fit.params,
-                GibbsConfig(n_samples=n, burn_in=gibbs_burn_in, seed=rep_seed),
-            )
-            boot_fit = cv_fit(Xb, rep_seed)
+            boot_fit = cv_fit(Xb, seeds[b + 2])
         except Exception as exc:
-            add_context(exc, f"bootstrap replicate {b} (seed {rep_seed})")
+            add_context(exc, f"bootstrap replicate {b} (seed {seeds[b + 2]})")
             raise
-        if _bootstrap_statistic(boot_fit.params, null_edges, statistic) >= observed:
-            exceed += 1
+        exceed += _bootstrap_statistic(boot_fit.params.phi, blocks, statistic) >= observed
     return (1 + exceed) / (B + 1)

@@ -267,7 +267,7 @@ def load_groups(path):
     """Read a named channel-grouping JSON: {"groups": {name: [indices...]}}.
 
     Each group is a nonempty list of integer channel indices (JSON true/false
-    are not indices), and no channel is in two groups.
+    are not indices), and no channel is listed twice, in one group or two.
     """
     doc = _read_json(path)
     _check_version(doc)
@@ -280,6 +280,8 @@ def load_groups(path):
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in members):
             raise SchemaError(f"group {name!r} must list integer channel indices")
         for m in members:
+            if owner.get(m) == name:
+                raise SchemaError(f"group {name!r} lists channel {m} twice")
             if owner.setdefault(m, name) != name:
                 raise SchemaError(f"groups {owner[m]!r} and {name!r} share channel {m}; "
                                   "groups must be disjoint")

@@ -179,6 +179,21 @@ class TestRegionAndGof:
         assert doc["results"][0]["significant"] is True
         assert doc["results"][0]["df"] == 24  # 6 cross edges x 4 coords
 
+    def test_region_test_orders_cross_edges_canonically(self, tmp_path, chain_csv):
+        # channels listed out of order test the same canonical edge list, bit for bit
+        data, _ = chain_csv
+        model = tmp_path / "m.json"
+        assert main(["fit", str(data), "--out", str(model)]) == 0
+        docs = []
+        for i, groups in enumerate(({"head": [0, 1], "tail": [2, 3, 4]},
+                                    {"tail": [4, 2, 3], "head": [1, 0]})):
+            path, out = tmp_path / f"groups{i}.json", tmp_path / f"regions{i}.json"
+            path.write_text(json.dumps({"schema_version": 1, "groups": groups}))
+            assert main(["region-test", str(data), "--model", str(model), "--groups", str(path),
+                         "--out", str(out)]) == 0
+            docs.append(out.read_text())
+        assert docs[0] == docs[1]
+
     def test_gof_runs(self, tmp_path, chain_csv, capsys):
         data, _ = chain_csv
         model = tmp_path / "m.json"
@@ -547,7 +562,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("groups,message", [
         ({"A": [0, 1], "B": [1, 2]}, "groups 'A' and 'B' share channel 1"),
         ({"A": [True, 0], "B": [2]}, "group 'A' must list integer channel indices"),
-    ], ids=["overlapping", "boolean-index"])
+        ({"A": [0, 0, 1], "B": [2]}, "group 'A' lists channel 0 twice"),
+    ], ids=["overlapping", "boolean-index", "repeated-channel"])
     def test_schema_error_bad_groups(self, tmp_path, capsys, groups, message):
         from torusgraphs.io import save_model
 

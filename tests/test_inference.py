@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import torusgraphs.inference
 from torusgraphs.estimation import accumulate_moments, fit_closed_form
 from torusgraphs.exceptions import (
     DegenerateTestError,
@@ -37,6 +38,8 @@ from torusgraphs.estimation import FitResult
 from torusgraphs.model import (
     Family,
     TorusGraphParams,
+    _canonical_pairs,
+    coupling_coords,
     coupling_slice,
     edge_list,
     param_dim,
@@ -494,6 +497,93 @@ class TestBootstrapNullTest:
     def test_b_floor(self):
         with pytest.raises(DomainError):
             bootstrap_null_test(np.zeros((50, 2)), [(0, 1)], B=5)
+
+    @pytest.mark.parametrize("options,message", [
+        ({"statistic": "bogus"}, "^unknown bootstrap statistic 'bogus'$"),
+        ({"B": 18}, "^need B >= 19 bootstrap replicates$"),
+        ({"gibbs_burn_in": -1}, "^burn_in must be >= 0$"),
+    ])
+    def test_arguments_checked_before_any_fit(self, monkeypatch, options, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the arguments were checked")
+
+        monkeypatch.setattr(torusgraphs.inference, "_cross_validate", no_fit)
+        X = np.random.default_rng(83).uniform(0, 2 * np.pi, size=(100, 3))
+        with pytest.raises(DomainError, match=message):
+            bootstrap_null_test(X, [(0, 1)], **{"B": 19, **options})
+
+    @staticmethod
+    def _statistic_loop(params, edges, statistic):
+        """The per-edge loop the batched statistic replaced, kept as its reference."""
+        norms = [np.linalg.norm(params.coupling_block(j, k)) for j, k in edges]
+        if statistic == STAT_NONZERO_EDGE_COUNT:
+            return float(sum(1 for v in norms if v > 0))
+        return float(max(norms))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_statistic_matches_the_per_edge_loop(self, seed):
+        # the count is exact (a sum of squares is zero in any order exactly when
+        # every square is); with no square below the normal range, the maximum
+        # norm may differ by the rounding of a 4-term sum in another order and
+        # one square root, at most 4 eps relative
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        phi = rng.normal(size=param_dim(d)) * 10.0 ** rng.uniform(-100, 3)
+        blocks = coupling_coords(d)
+        phi[blocks[rng.random(len(blocks)) < 0.4]] = 0.0
+        edges = [tuple(rng.permutation(e)) for e in rng.permutation(edge_list(d))]
+        edges = edges[: int(rng.integers(1, len(edges) + 1))]
+        params = TorusGraphParams(d=d, phi=phi)
+        pairs, ranks = _canonical_pairs(d, edges)  # the loop took the checked pairs
+        batched = torusgraphs.inference._bootstrap_statistic
+        count = batched(phi, blocks[ranks], STAT_NONZERO_EDGE_COUNT)
+        assert count == self._statistic_loop(params, pairs, STAT_NONZERO_EDGE_COUNT)
+        top = batched(phi, blocks[ranks], STAT_MAX_BLOCK_NORM)
+        assert top == pytest.approx(self._statistic_loop(params, pairs, STAT_MAX_BLOCK_NORM),
+                                    rel=4 * np.finfo(float).eps, abs=0.0)
+
+    @staticmethod
+    def _recorded_run(monkeypatch, B=19, seed=7):
+        """A small bootstrap, recording each cross-validation's seed and null
+        edges and each multi-chain draw; the one-chain sampler must not run."""
+        inference = torusgraphs.inference
+        cross_validate, chains = inference._cross_validate, inference.gibbs_sample_chains
+        record = {"cv": [], "draws": []}
+
+        def recorded_cv(sample, **kwargs):
+            record["cv"].append((kwargs["seed"], kwargs["zero_edges"]))
+            return cross_validate(sample, **kwargs)
+
+        def recorded_chains(params_list, cfg):
+            record["draws"].append((params_list, cfg))
+            return chains(params_list, cfg)
+
+        def no_single_chain(*args, **kwargs):
+            raise AssertionError("gibbs_sample called")
+
+        monkeypatch.setattr(inference, "_cross_validate", recorded_cv)
+        monkeypatch.setattr(inference, "gibbs_sample_chains", recorded_chains)
+        monkeypatch.setattr(inference, "gibbs_sample", no_single_chain)
+        X = np.random.default_rng(84).uniform(0, 2 * np.pi, size=(100, 3))
+        bootstrap_null_test(X, [(1, 0)], B=B, seed=seed, folds=2, grid=[0.1], gibbs_burn_in=30)
+        return record
+
+    def test_null_data_drawn_in_one_multi_chain_call(self, monkeypatch):
+        (params_list, cfg), = self._recorded_run(monkeypatch, B=19)["draws"]
+        assert len(params_list) == 19
+        assert all(p is params_list[0] for p in params_list)
+        assert not params_list[0].coupling_block(0, 1).any()  # the null fit
+        assert (cfg.n_samples, cfg.burn_in, cfg.thin) == (100, 30, 1)
+
+    def test_seed_plan(self, monkeypatch):
+        # children 0 and 1 seed the observed and null fits, child b + 2
+        # replicate b's cross-validation, and child B + 2 the one draw
+        B = 19
+        record = self._recorded_run(monkeypatch, B=B, seed=7)
+        children = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(7).spawn(B + 3)]
+        assert record["cv"] == ([(children[0], None), (children[1], [[0, 1]])]
+                                + [(s, None) for s in children[2:B + 2]])
+        assert [cfg.seed for _, cfg in record["draws"]] == [children[B + 2]]
 
     def test_null_calibration_is_valid(self):
         # under the null the rank p-value is valid (conservative: the

@@ -194,17 +194,14 @@ class TestGroupsAndConfig:
         ({"A": [0], "B": [2], "C": [3, 0]}, "groups 'A' and 'C' share channel 0"),
         ({"A": [True, 0], "B": [2]}, "group 'A' must list integer channel indices"),
         ({"A": [0, False]}, "group 'A' must list integer channel indices"),
-    ], ids=["overlap", "overlap-later", "true-index", "false-index"])
+        ({"A": [0, 0, 1], "B": [2]}, "group 'A' lists channel 0 twice"),
+        ({"A": [0], "B": [2, 1, 2]}, "group 'B' lists channel 2 twice"),
+    ], ids=["overlap", "overlap-later", "true-index", "false-index", "repeat", "repeat-later"])
     def test_groups_disjoint_integer_indices(self, tmp_path, groups, message):
         f = tmp_path / "groups.json"
         f.write_text(json.dumps({"schema_version": 1, "groups": groups}))
         with pytest.raises(SchemaError, match=message):
             load_groups(f)
-
-    def test_groups_repeat_within_one_group_is_kept(self, tmp_path):
-        f = tmp_path / "groups.json"
-        f.write_text(json.dumps({"schema_version": 1, "groups": {"A": [0, 0], "B": [1]}}))
-        assert load_groups(f) == {"A": [0, 0], "B": [1]}
 
     def test_experiment_config(self, tmp_path):
         f = tmp_path / "exp.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import torusgraphs.estimation
 import torusgraphs.inference
 import torusgraphs.simulation
 from torusgraphs.circular import plv, rayleigh_test
@@ -308,8 +309,9 @@ class _TwoArgError(Exception):
 
 
 class _FailingGenerator:
-    """Stands in for a generator spec (or the Gibbs sampler): records the
-    seed of each call and raises ``exc`` on call ``fail_at``."""
+    """Stands in for a generator spec (or a bootstrap replicate's
+    cross-validation): records the seed of each call and raises ``exc`` on
+    call ``fail_at``."""
 
     def __init__(self, exc, fail_at=0):
         self.exc = exc
@@ -325,9 +327,6 @@ class _FailingGenerator:
     def generate(self, N, seed):
         return self._record(seed), TruthGraph(d=3, edges=((0, 1),)), None
 
-    def gibbs_sample(self, params, config):
-        return self._record(config.seed)
-
 
 def _run_replicates(site, failing, monkeypatch):
     if site == "recovery":
@@ -335,7 +334,16 @@ def _run_replicates(site, failing, monkeypatch):
     elif site == "plv":
         plv_recovery_experiment(draw_replicates(failing, n_reps=3, N=200, seed=21))
     else:
-        monkeypatch.setattr(torusgraphs.inference, "gibbs_sample", failing.gibbs_sample)
+        cross_validate = torusgraphs.estimation._cross_validate  # unwrapped on every run
+        calls = []
+
+        def replicate_cv(sample, **kwargs):
+            calls.append(None)
+            if len(calls) > 2:  # the observed and the null fit come first
+                failing._record(kwargs["seed"])
+            return cross_validate(sample, **kwargs)
+
+        monkeypatch.setattr(torusgraphs.inference, "_cross_validate", replicate_cv)
         X = np.random.default_rng(22).uniform(0, 2 * np.pi, size=(200, 3))
         bootstrap_null_test(X, [(0, 1)], B=19, seed=21, folds=2, grid=[0.1])
 
