@@ -33,7 +33,7 @@ from .inference import (
     plv_tests,
 )
 from .margins import bivar_phase_diff_density, population_plv_from_grid, trivar_phase_diff_density
-from .model import Family, _canonical_pairs
+from .model import Family
 from .sampling import GibbsConfig, gibbs_sample
 from .simulation import draw_replicates, plv_recovery_experiment, recovery_experiment
 
@@ -160,10 +160,9 @@ def cmd_region_test(args):
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     results = []
     for a, b in pairs:
-        # the groups are disjoint, nonempty and name each channel once, so every
-        # pair of groups has cross edges and none repeats
-        edges, ranks = _canonical_pairs(ds.d, [(j, k) for j in groups[a] for k in groups[b]])
-        t = group_edge_test(fit, cov, edges[np.argsort(ranks)].tolist(), mode=mode)
+        # disjoint, nonempty groups that list each channel once: cross edges exist, none repeats
+        edges = sorted((min(j, k), max(j, k)) for j in groups[a] for k in groups[b])
+        t = group_edge_test(fit, cov, edges, mode=mode)
         results.append((a, b, t))
     p_corr = correct_pvalues([t.p for _, _, t in results], args.correction)
     print(f"region tests ({mode}, alpha={args.alpha}, correction={args.correction}):")

@@ -159,12 +159,15 @@ def _quadratic_tests(fit, cov, tested, coords, mode):
     coords = np.ascontiguousarray(coords)
     phi = fit.params.phi[coords]
     sigma = cov.block(coords)
-    # the LU of slogdet finds the zero pivots that would make solve reject the
-    # stack; a NaN block is named below, not warned of
-    with np.errstate(invalid="ignore", divide="ignore"):
-        singular = np.linalg.slogdet(sigma)[0] == 0
-    sol = np.full(phi.shape + (1,), np.nan)
-    sol[~singular] = np.linalg.solve(sigma[~singular], phi[~singular, :, None])
+    singular = np.zeros(len(tested), dtype=bool)
+    try:
+        sol = np.linalg.solve(sigma, phi[..., None])
+    except np.linalg.LinAlgError:
+        # solve rejects the whole stack; the LU of slogdet finds the same zero pivots
+        with np.errstate(invalid="ignore"):  # a NaN block is named below, not warned of
+            singular = np.linalg.slogdet(sigma)[0] == 0
+        sol = np.full(phi.shape + (1,), np.nan)
+        sol[~singular] = np.linalg.solve(sigma[~singular], phi[~singular, :, None])
     x2 = ((fit.n * phi)[:, None, :] @ sol)[:, 0, 0]
     degenerate = singular | ~np.isfinite(x2)
     if degenerate.any():
@@ -352,16 +355,14 @@ def goodness_of_fit(data, fit, n_synth=2000, seed=0):
 
 STAT_NONZERO_EDGE_COUNT = "nonzero-edge-count"
 STAT_MAX_BLOCK_NORM = "max-block-norm"
-_STATISTICS = (STAT_NONZERO_EDGE_COUNT, STAT_MAX_BLOCK_NORM)
+_STATISTICS = {STAT_NONZERO_EDGE_COUNT: lambda norms: np.count_nonzero(norms > 0),
+               STAT_MAX_BLOCK_NORM: np.max}
 
 
 def _bootstrap_statistic(phi, blocks, statistic):
     """``statistic`` of the norms of the (edges, 4) coupling ``blocks`` of
     ``phi``: one gather, each norm summed as _group_soft_threshold sums it."""
-    norms = np.linalg.norm(phi[blocks], axis=1)
-    if statistic == STAT_NONZERO_EDGE_COUNT:
-        return float(np.count_nonzero(norms > 0))
-    return float(norms.max())
+    return float(_STATISTICS[statistic](np.linalg.norm(phi[blocks], axis=1)))
 
 
 def bootstrap_null_test(
