@@ -304,7 +304,7 @@ class FitResult:
 
 def _active_indices(d, family, zero_edges=None):
     active = family_mask(d, family)
-    active[coupling_coords(d)[_canonical_pairs(d, zero_edges or ())[1]]] = False
+    active[coupling_coords(d)[_canonical_pairs(d, zero_edges)[1]]] = False
     return np.nonzero(active)[0]
 
 

@@ -152,9 +152,14 @@ def _quadratic_tests(fit, cov, tested, coords, mode):
 
     The blocks are gathered, formed and solved as one stack, and each block
     solves alone, so a test's statistic does not depend on which other tests
-    run with it. The first degenerate test in order is named: a singular
-    block, or a non-finite statistic.
+    run with it. The first degenerate test in order is named: df >= N (the N
+    rows of F sum to ~0 at the fit; raised before the gather), a singular
+    block, or a statistic that is not a finite number >= 0.
     """
+    df, n = coords.shape[1], cov.factor.shape[0]
+    if tested and df >= n:  # every row of the stack has this df
+        raise DegenerateTestError(f"{df} coefficients from N={n} samples: "
+                                  f"singular covariance block in the test of {tested[0]}")
     # a C-ordered gather gives each row's dot product the strides of a lone test
     coords = np.ascontiguousarray(coords)
     phi = fit.params.phi[coords]
@@ -169,14 +174,13 @@ def _quadratic_tests(fit, cov, tested, coords, mode):
         sol = np.full(phi.shape + (1,), np.nan)
         sol[~singular] = np.linalg.solve(sigma[~singular], phi[~singular, :, None])
     x2 = ((fit.n * phi)[:, None, :] @ sol)[:, 0, 0]
+    singular |= (0.0 > x2) & np.isfinite(x2)  # a block not positive definite; -0.0 passes
     degenerate = singular | ~np.isfinite(x2)
     if degenerate.any():
         i = int(np.argmax(degenerate))
         if singular[i]:
             raise DegenerateTestError(f"singular covariance block in the test of {tested[i]}")
         raise DegenerateTestError(f"non-finite test statistic for {tested[i]}")
-    x2 = np.where(0.0 > x2, 0.0, x2)  # max(x2, 0.0), which keeps a -0.0
-    df = coords.shape[1]
     return [EdgeTest(edge=edge, x2=s, df=df, p=q, mode=mode)
             for edge, s, q in zip(tested, x2.tolist(), chi2_sf(x2, df).tolist())]
 
@@ -198,12 +202,12 @@ def edge_tests(fit, cov, mode=MODE_FULL):
 def group_edge_test(fit, cov, edges, mode=MODE_FULL):
     """Joint chi-squared test that every edge in the group is absent.
 
-    df is (block size) x (number of edges), e.g. 40 rotational edges -> 80.
-    The pairs may be given in either order, each once.
+    df is (block size) x (number of edges), e.g. 40 rotational edges -> 80; df >= N
+    raises. The pairs, a list or an (E, 2) int array, may be in either order, each once.
     """
-    if not edges:
-        raise DomainError("need at least one edge")
     norm_edges, coords = _edge_coords(fit.params, edges, mode)
+    if not norm_edges:
+        raise DomainError("need at least one edge")
     return _quadratic_tests(fit, cov, [tuple(norm_edges)], coords.reshape(1, -1), mode)[0]
 
 

@@ -62,11 +62,11 @@ def edge_rank(d, j, k):
 
 
 def _canonical_pairs(d, pairs):
-    """The one check of node pairs given in either order: returns them as an
-    (E, 2) int array with j < k, in the given order, and their ranks. Raises
-    DomainError on a non-integer entry (a bool is not one), or names the
-    first pair with a node outside [0, d), a self-loop or a repeat."""
-    given = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    """The one check of node pairs in either order (pairs, an (E, 2) int array or
+    None for none): returns them as an (E, 2) int array with j < k, in order, and
+    their ranks. Raises DomainError on a non-integer entry (a bool is not one), or
+    names the first pair with a node outside [0, d), a self-loop or a repeat."""
+    given = pairs if isinstance(pairs, np.ndarray) else list(() if pairs is None else pairs)
     a = np.asarray(given) if len(given) else np.zeros((0, 2), dtype=np.intp)
     # a list mixing bools with ints reads as ints, so its entries are looked at
     if (a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iu"

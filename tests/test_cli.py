@@ -20,6 +20,8 @@ from torusgraphs.io import (
 from torusgraphs.model import Family, TorusGraphParams, coupling_slice
 from torusgraphs.simulation import gen_chain
 
+from test_cg_oracle import tree_angles
+
 
 @pytest.fixture
 def chain_csv(tmp_path):
@@ -404,6 +406,17 @@ class TestExitCodes:
         rng = np.random.default_rng(1)
         save_samples_csv(data, rng.uniform(0, 2 * np.pi, size=(5, 4)))
         assert main(["fit", str(data), "--out", str(tmp_path / "m.json")]) == 3
+
+    def test_numerical_error_region_pair_with_df_at_least_n(self, tmp_path, capsys):
+        # two 12-channel halves of a tree at d=24: 144 cross edges give df 576
+        # from N=200 samples, a singular block (this pair was reported as p = 1)
+        data, model, groups = tmp_path / "tree.csv", tmp_path / "m.json", tmp_path / "halves.json"
+        save_samples_csv(data, tree_angles(24, 200, seed=5))
+        groups.write_text(json.dumps(
+            {"schema_version": 1, "groups": {"a": list(range(12)), "b": list(range(12, 24))}}))
+        assert main(["fit", str(data), "--out", str(model)]) == 0
+        assert main(["region-test", str(data), "--model", str(model), "--groups", str(groups)]) == 3
+        assert "error: 576 coefficients from N=200 samples: singular" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, tmp_path):
         data = tmp_path / "d.csv"

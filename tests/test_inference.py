@@ -162,6 +162,21 @@ class TestEdgeTest:
         assert len(tests) == 66
         assert peak <= 1.5 * gathered + 2**20
 
+    def test_null_fpr_at_the_paper_size(self):
+        """Uniform null data at d=24, N=840: the mean per-replicate FPR of the
+        276 four-df edge tests at alpha = 0.05 stays within 3 Monte-Carlo
+        standard errors (from the replicate sd) of alpha. m = 1152 exceeds N
+        here, and the test is conservative (a mean near 0.04)."""
+        alpha, seeds = 0.05, range(2400, 2430)
+        rates = []
+        for seed in seeds:
+            _, fit, cov = uniform_fit(24, 840, seed=seed)
+            tests = edge_tests(fit, cov)
+            assert len(tests) == 276 and all(t.df == 4 for t in tests)
+            rates.append(np.mean([t.p <= alpha for t in tests]))
+        mcse = np.std(rates, ddof=1) / np.sqrt(len(rates))
+        assert np.mean(rates) <= alpha + 3 * mcse
+
     def test_family_scope(self):
         _, fit, cov = uniform_fit(3, 600, seed=66, family=Family.PHASE_DIFF)
         with pytest.raises(FamilyScopeError):
@@ -220,6 +235,59 @@ class TestDegenerateTest:
             edge_tests(fit, cov, MODE_REFLECTIONAL)
         with pytest.raises(DegenerateTestError, match=r"non-finite .* for \(\(0, 2\), \(1, 2\)\)$"):
             group_edge_test(fit, cov, [(0, 2), (1, 2)])
+
+    @staticmethod
+    def all_rotational_pairs(n):
+        """Fit and covariance of d=5 uniform null data under the
+        uniform-phasediff family, whose 20 coefficients are the rotational
+        blocks of the 10 pairs, so their group test has df 20."""
+        return uniform_fit(5, n, seed=73, family=Family.UNIFORM_PHASE_DIFF)[1:]
+
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_df_at_least_n_raises_before_the_gather(self, monkeypatch, n):
+        """F's N rows sum to ~0 at the fit, so Sigma has rank below N and a
+        block with df >= N is singular: the test raises without forming it."""
+        fit, cov = self.all_rotational_pairs(n)
+        calls = []
+        inner = SandwichCov.block
+        monkeypatch.setattr(SandwichCov, "block",
+                            lambda self, coords: calls.append(coords) or inner(self, coords))
+        message = (rf"^20 coefficients from N={n} samples: singular covariance block"
+                   rf" in the test of \(\(0, 1\), \(0, 2\), .*\(3, 4\)\)$")
+        with pytest.raises(DegenerateTestError, match=message):
+            group_edge_test(fit, cov, edge_list(5), MODE_ROTATIONAL)
+        assert calls == []
+
+    def test_empty_stack_with_df_at_least_n_tests_nothing(self):
+        _, fit, cov = uniform_fit(1, 3, seed=74)  # d=1 has no pairs; 4 >= N
+        assert edge_tests(fit, cov) == []
+
+    def test_df_below_n_tests(self):
+        fit, cov = self.all_rotational_pairs(21)
+        t = group_edge_test(fit, cov, edge_list(5), MODE_ROTATIONAL)
+        assert t.df == 20 and np.isfinite(t.x2) and t.x2 >= 0.0
+
+    def test_negative_statistic_is_a_singular_block(self, monkeypatch):
+        """A negated stack is not positive definite: its statistic is negative
+        and the test degenerate (it was reported as x2 = 0, p = 1)."""
+        _, fit, cov = uniform_fit(3, 600, seed=72)
+        inner = SandwichCov.block
+        monkeypatch.setattr(SandwichCov, "block", lambda self, coords: -inner(self, coords))
+        with pytest.raises(DegenerateTestError, match=r"^singular covariance block in the test of \(0, 2\)$"):
+            edge_test(fit, cov, 0, 2)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "minus-inf"])
+    def test_infinite_statistic_is_non_finite(self, monkeypatch, sign):
+        """Identity blocks (negated for -inf) and coefficients of 1e160: each
+        term of the statistic overflows with one sign."""
+        _, fit, cov = uniform_fit(3, 600, seed=72)
+        huge = FitResult(params=TorusGraphParams(d=3, phi=1e160 * fit.params.phi),
+                         moments=fit.moments, method="closed_form", residual_norm=0.0)
+        monkeypatch.setattr(SandwichCov, "block",
+                            lambda self, coords: sign * np.eye(coords.shape[-1])[None])
+        with np.errstate(over="ignore"), pytest.raises(
+                DegenerateTestError, match=r"^non-finite test statistic for \(0, 2\)$"):
+            edge_test(huge, cov, 0, 2)
 
     @pytest.mark.parametrize("mode", [MODE_FULL, MODE_ROTATIONAL, MODE_REFLECTIONAL])
     @pytest.mark.parametrize("d", [3, 4])

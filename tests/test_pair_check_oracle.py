@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import torusgraphs.inference
 from torusgraphs import io as tgio
 from torusgraphs.cli import main
-from torusgraphs.estimation import fit_closed_form, fit_group_lasso
+from torusgraphs.estimation import fit_closed_form, fit_group_lasso, select_lambda_cv
 from torusgraphs.exceptions import DomainError, FamilyScopeError, SchemaError
 from torusgraphs.inference import (
     CORRECTION_NONE,
@@ -306,6 +306,27 @@ def test_truth_graph_merges_a_pair_in_both_orders_and_takes_the_shared_messages(
         TruthGraph(d=3, edges=frozenset({(1, 1)}))
     with pytest.raises(DomainError, match=r"^invalid edge \(3, 0\) for d=3$"):
         TruthGraph(d=3, edges=frozenset({(3, 0)}))
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1), (2, 1)], [(3, 0)], [(1, 3), (0, 2), (3, 2)]])
+def test_pair_arrays_give_the_results_of_lists(fitted, pairs):
+    X, fit, cov = fitted
+    array = np.array(pairs)
+    new, ref = group_edge_test(fit, cov, array), group_edge_test(fit, cov, pairs)
+    assert new == ref and new.x2.hex() == ref.x2.hex()
+    for fn, kwargs in ((fit_closed_form, {}), (fit_group_lasso, {"lam": 0.05})):
+        new, ref = fn(X, zero_edges=array, **kwargs), fn(X, zero_edges=pairs, **kwargs)
+        assert new.params.phi.tobytes() == ref.params.phi.tobytes()
+    cv = {"folds": 3, "grid": [0.02, 0.1], "seed": 4}
+    assert select_lambda_cv(X, zero_edges=array, **cv) == select_lambda_cv(X, zero_edges=pairs, **cv)
+
+
+@pytest.mark.parametrize("edges", [None, [], np.zeros((0, 2), dtype=int)],
+                         ids=["none", "empty-list", "empty-array"])
+def test_a_group_test_needs_an_edge(fitted, edges):
+    _, fit, cov = fitted
+    with pytest.raises(DomainError, match=r"^need at least one edge$"):
+        group_edge_test(fit, cov, edges)
 
 
 def test_all_pairs_checked_as_one_array():
