@@ -18,7 +18,7 @@ from . import io as tgio
 from .circular import circular_mean_resultant, wrap_angle
 from .estimation import FitResult, _cross_validate, _equation_residual
 from .estimation import fit_closed_form, fit_group_lasso
-from .exceptions import DomainError, NumericalError, SchemaError, TorusGraphError
+from .exceptions import DomainError, NumericalError, SchemaError, TorusGraphError, add_context
 from .inference import (
     CORRECTIONS,
     MODE_FULL,
@@ -162,7 +162,11 @@ def cmd_region_test(args):
     for a, b in pairs:
         # disjoint, nonempty groups that list each channel once: cross edges exist, none repeats
         edges = sorted((min(j, k), max(j, k)) for j in groups[a] for k in groups[b])
-        t = group_edge_test(fit, cov, edges, mode=mode)
+        try:
+            t = group_edge_test(fit, cov, edges, mode=mode)
+        except TorusGraphError as exc:
+            add_context(exc, f"groups {a!r} and {b!r}")
+            raise
         results.append((a, b, t))
     p_corr = correct_pvalues([t.p for _, _, t in results], args.correction)
     print(f"region tests ({mode}, alpha={args.alpha}, correction={args.correction}):")

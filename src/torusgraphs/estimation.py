@@ -58,6 +58,7 @@ _NORM_PANEL = 32
 _COND_LIMIT = 1e12
 _CG_RTOL = 1e-14
 _LASSO_MAX_ITER = 20000
+_CV_TOL = 1e-8  # relative objective change that stops each cross-validation solve
 
 
 @dataclass(frozen=True)
@@ -623,7 +624,7 @@ def fit_group_lasso(data, family=Family.FULL, lam=0.0, tol=1e-9, zero_edges=None
     )
 
 
-def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_edges=None, tol=1e-8):
+def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_edges=None):
     """Pick the penalty weight by k-fold cross-validation.
 
     The validation loss is the held-out score-matching objective: each fold's
@@ -631,13 +632,14 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     folds' pooled moments, and the trained coefficients are scored with the
     held-out moments. Each training fold's penalized system and step size
     are built once and shared by every weight in ``grid``, whose entries must
-    all be finite and >= 0; ``zero_edges`` are pairs in either order. Returns
+    all be finite and >= 0; ``zero_edges`` are pairs in either order. Each
+    solve stops at ``tol=_CV_TOL`` of :func:`fit_group_lasso`. Returns
     (best lambda, table of (lambda, mean loss)).
     """
-    return _cross_validate(data, family, folds, grid, seed, zero_edges, tol)[:2]
+    return _cross_validate(data, family, folds, grid, seed, zero_edges)[:2]
 
 
-def _cross_validate(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_edges=None, tol=1e-8):
+def _cross_validate(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_edges=None):
     """:func:`select_lambda_cv`, also returning the moments of all the data
     pooled from the folds' moments, so a refit need not accumulate again."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
@@ -661,7 +663,7 @@ def _cross_validate(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_e
         train = _pool([fm for i, fm in enumerate(fold_moments) if i != f])
         idx, G, b, blocks, step = _lasso_system(train, family, zero_edges)
         for gi, lam in enumerate(lams):
-            phi[idx] = _fista(G, b, blocks, lam, step, tol)[0]
+            phi[idx] = _fista(G, b, blocks, lam, step, _CV_TOL)[0]
             losses[gi, f] = sm_objective(phi, held)
     mean_loss = losses.mean(axis=1)
     best = int(np.argmin(mean_loss))

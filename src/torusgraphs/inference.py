@@ -26,6 +26,7 @@ import scipy.linalg
 
 from .circular import _rayleigh, bessel_ratio, chi2_sf, fisher_combine, ks_two_sample, wrap_angle
 from .estimation import (
+    _CV_TOL,
     FitResult,
     ScoreMatchingMoments,
     _checked_cholesky,
@@ -378,7 +379,6 @@ def bootstrap_null_test(
     family=Family.FULL,
     folds=5,
     grid=None,
-    tol=1e-8,
     gibbs_burn_in=500,
 ):
     """Parametric bootstrap test that the given edges are absent.
@@ -387,7 +387,8 @@ def bootstrap_null_test(
     weight by cross-validation); B data sets of the original size are drawn
     from it in one multi-chain Gibbs run, all B x n x d angles at once; for
     each, the penalty weight is re-selected by cross-validation and an
-    unrestricted model refitted. The statistic (computed over the tested edge
+    unrestricted model refitted, every solve at the tolerance ``_CV_TOL`` of
+    cross-validation. The statistic (computed over the tested edge
     set) yields the rank p-value (1 + #{bootstrap >= observed}) / (B + 1).
     Children 0, 1 and b + 2 of ``SeedSequence(seed).spawn(B + 3)`` seed the
     cross-validation of the observed fit, the null fit and replicate b; child
@@ -411,8 +412,8 @@ def bootstrap_null_test(
 
     def cv_fit(sample, cv_seed, zero_edges=None):
         lam, _, moments = _cross_validate(sample, family=family, folds=folds, grid=grid,
-                                          seed=cv_seed, zero_edges=zero_edges, tol=tol)
-        return fit_group_lasso(None, family=family, lam=lam, zero_edges=zero_edges, tol=tol,
+                                          seed=cv_seed, zero_edges=zero_edges)
+        return fit_group_lasso(None, family=family, lam=lam, zero_edges=zero_edges, tol=_CV_TOL,
                                moments=moments)
 
     observed = _bootstrap_statistic(cv_fit(X, seeds[0]).params.phi, blocks, statistic)

@@ -32,8 +32,6 @@ class Dataset:
 
     angles: np.ndarray
     channel_names: tuple
-    units: str = UNITS_RADIANS
-    source_path: str = ""
 
     def __post_init__(self):
         angles = np.array(self.angles, dtype=float)
@@ -118,9 +116,7 @@ def load_csv(path, units=UNITS_RADIANS, header="auto", delimiter=","):
         data = np.deg2rad(data)
     if names is None:
         names = [f"ch{j + 1:02d}" for j in range(width)]
-    return Dataset(
-        angles=wrap_angle(data), channel_names=tuple(names), units=units, source_path=str(path)
-    )
+    return Dataset(angles=wrap_angle(data), channel_names=tuple(names))
 
 
 def save_samples_csv(path, angles, channel_names=None):

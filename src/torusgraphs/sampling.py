@@ -6,8 +6,10 @@ b_x cos(x_k) + b_y sin(x_k), the marginal block contributes the constant
 terms and each coupling block contributes linear combinations of cos(x_j) and
 sin(x_j) with coefficients fixed by the block. Those coefficients are
 computed once (:func:`_conditional_coefficients`) and serve
-:func:`conditional_von_mises`, the one-chain sweep loop
-(:func:`gibbs_sample`) and the many-chain one (:func:`gibbs_sample_chains`).
+:func:`conditional_von_mises` and both samplers. The one-chain
+(:func:`gibbs_sample`) and the many-chain (:func:`gibbs_sample_chains`)
+sampler share their checked start (:func:`_start`) and keep schedule
+(:func:`_kept_states`); only their node updates differ.
 """
 
 import math
@@ -19,21 +21,15 @@ from .circular import wrap_angle
 from .exceptions import DomainError
 from .model import TorusGraphParams, _edge_index_arrays, coupling_coords
 
-UNIFORM_RANDOM = "uniform-random"
-
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Chain settings: kept samples, burn-in sweeps, thinning, seed, init.
-
-    ``init`` is either UNIFORM_RANDOM or an explicit angle vector.
-    """
+    """Chain settings: kept samples, burn-in sweeps, thinning and seed."""
 
     n_samples: int
     burn_in: int = 500
     thin: int = 1
     seed: int = 0
-    init: object = UNIFORM_RANDOM
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -101,46 +97,63 @@ def conditional_von_mises(params, k, x_rest):
     return amp, wrap_angle(np.arctan2(by, bx))
 
 
+def _start(params_list, cfg):
+    """Both samplers' set-up for a nonempty list of C TorusGraphParams of one
+    dimension d: the generator seeded by ``cfg.seed``, the start x (C, d)
+    drawn uniformly on [0, 2pi) from it, and node k's rows and bias of
+    :func:`_conditional_coefficients` in chain c as weights[k, c] and
+    bias[k, c]."""
+    if not params_list:
+        raise DomainError("need at least one parameter set")
+    if not all(isinstance(p, TorusGraphParams) for p in params_list):
+        raise DomainError("params must be TorusGraphParams")
+    d = params_list[0].d
+    if any(p.d != d for p in params_list):
+        raise DomainError(f"all chains need the same dimension, got {[p.d for p in params_list]}")
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.uniform(0.0, 2.0 * np.pi, size=(len(params_list), d))
+    weights, bias = (np.stack(t, axis=1)
+                     for t in zip(*(_conditional_coefficients(p) for p in params_list)))
+    return rng, x, weights, bias
+
+
+def _kept_states(cfg, x, sweep):
+    """Both samplers' keep schedule: ``sweep()`` updates the state x (C, d)
+    in place, burn_in + thin times before the first kept state and thin times
+    before each later one. Returns the (C, n_samples, d) kept angles."""
+    out = np.empty((x.shape[0], cfg.n_samples, x.shape[1]))
+    for _ in range(cfg.burn_in):
+        sweep()
+    for i in range(cfg.n_samples):
+        for _ in range(cfg.thin):
+            sweep()
+        out[:, i] = x
+    return wrap_angle(out)
+
+
 def gibbs_sample(params, cfg):
     """Systematic-scan Gibbs sampler; returns an (n_samples, d) angle matrix.
 
-    Each sweep updates coordinates 0..d-1 in order from their exact von Mises
-    full conditionals; after ``burn_in`` sweeps, every ``thin``-th sweep is
-    kept. Deterministic given ``cfg.seed``.
+    From a uniform random start, each sweep updates coordinates 0..d-1 in
+    order from their exact von Mises full conditionals; after ``burn_in``
+    sweeps, every ``thin``-th sweep is kept. Deterministic given ``cfg.seed``.
 
     Single-site updates mix the collective rotation slowly when coupling
     norms are very large (each conditional pins a coordinate to its
     neighbors, so the global phase performs a small-step random walk);
     increase burn_in/thin, or pool several chains, when block norms are far
     above the O(1) regime. :func:`gibbs_sample_chains` runs such chains in
-    one sweep loop; this one-chain loop stays scalar because one chain
-    through numpy array calls is slower.
+    one sweep loop; this one-chain node update stays scalar because one
+    chain through numpy array calls is slower.
     """
-    if not isinstance(params, TorusGraphParams):
-        raise DomainError("params must be a TorusGraphParams")
-    d = params.d
-    rng = np.random.default_rng(cfg.seed)
-    if isinstance(cfg.init, str):
-        if cfg.init != UNIFORM_RANDOM:
-            raise DomainError(f"unknown init {cfg.init!r}")
-        x = rng.uniform(0.0, 2.0 * np.pi, size=d)
-    else:
-        x = wrap_angle(np.asarray(cfg.init, dtype=float))
-        x = np.atleast_1d(x).copy()
-        if x.shape != (d,):
-            raise DomainError(f"init must have length {d}")
-    rows, bias = _conditional_coefficients(params)
+    rng, state, weights, bias = _start([params], cfg)
+    x, d, rows = state[0], state.shape[1], weights[:, 0]
     cx_c, cx_s, cy_c, cy_s = rows[:, 0, :d], rows[:, 0, d:], rows[:, 1, :d], rows[:, 1, d:]
-    k1, k2 = bias.T
-    cos_x = np.cos(x)
-    sin_x = np.sin(x)
-    out = np.empty((cfg.n_samples, d))
-    kept = 0
-    sweep = 0
-    total = cfg.burn_in + cfg.n_samples * cfg.thin
-    dot = np.dot
-    vonmises = rng.vonmises
-    while sweep < total:
+    k1, k2 = bias[:, 0].T
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    dot, vonmises = np.dot, rng.vonmises
+
+    def sweep():
         for k in range(d):
             bx = k1[k] + dot(cx_c[k], cos_x) + dot(cx_s[k], sin_x)
             by = k2[k] + dot(cy_c[k], cos_x) + dot(cy_s[k], sin_x)
@@ -148,11 +161,8 @@ def gibbs_sample(params, cfg):
             x[k] = xk
             cos_x[k] = math.cos(xk)
             sin_x[k] = math.sin(xk)
-        sweep += 1
-        if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            out[kept] = x
-            kept += 1
-    return wrap_angle(out)
+
+    return _kept_states(cfg, state, sweep)[0]
 
 
 def _chain_conditionals(weights, bias, cs):
@@ -170,40 +180,22 @@ def gibbs_sample_chains(params_list, cfg):
     """Systematic-scan Gibbs sampler for C chains at once; returns a
     (C, n_samples, d) angle array, chain c drawn from ``params_list[c]``.
 
-    Every chain follows the sweep, burn-in and thinning schedule of
-    :func:`gibbs_sample` from its own uniform random start; one node update
-    draws that node in all chains with one array call on a single generator
-    seeded by ``cfg.seed``. The chains share that stream, so a chain's draws
-    depend on the whole list, and they differ from :func:`gibbs_sample` run
-    on the same parameters and seed.
+    Every chain follows the start and keep schedule of :func:`gibbs_sample`;
+    one node update draws that node in all chains with one array call on a
+    single generator seeded by ``cfg.seed``. The chains share that stream,
+    so a chain's draws depend on the whole list; a one-element list draws
+    :func:`gibbs_sample`'s stream, equal up to rounding.
     """
-    if not params_list:
-        raise DomainError("need at least one parameter set")
-    if not all(isinstance(p, TorusGraphParams) for p in params_list):
-        raise DomainError("params must be TorusGraphParams")
-    d = params_list[0].d
-    if any(p.d != d for p in params_list):
-        raise DomainError(f"all chains need the same dimension, got {[p.d for p in params_list]}")
-    if not (isinstance(cfg.init, str) and cfg.init == UNIFORM_RANDOM):
-        raise DomainError("multi-chain sampling starts uniformly at random; init is not supported")
-    C = len(params_list)
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.uniform(0.0, 2.0 * np.pi, size=(C, d))
-    # weights[k, c] = node k's (2, 2d) coefficient rows in chain c, bias[k, c] its bias
-    weights, bias = (np.stack(t, axis=1)
-                     for t in zip(*(_conditional_coefficients(p) for p in params_list)))
+    rng, x, weights, bias = _start(params_list, cfg)
+    d = x.shape[1]
     cs = np.hstack([np.cos(x), np.sin(x)])
-    out = np.empty((C, cfg.n_samples, d))
-    kept = 0
-    total = cfg.burn_in + cfg.n_samples * cfg.thin
     vonmises = rng.vonmises
-    for sweep in range(1, total + 1):
+
+    def sweep():
         for k in range(d):
             xk = vonmises(*_chain_conditionals(weights[k], bias[k], cs))
             x[:, k] = xk
             cs[:, k] = np.cos(xk)
             cs[:, d + k] = np.sin(xk)
-        if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            out[:, kept] = x
-            kept += 1
-    return wrap_angle(out)
+
+    return _kept_states(cfg, x, sweep)

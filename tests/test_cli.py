@@ -416,7 +416,8 @@ class TestExitCodes:
             {"schema_version": 1, "groups": {"a": list(range(12)), "b": list(range(12, 24))}}))
         assert main(["fit", str(data), "--out", str(model)]) == 0
         assert main(["region-test", str(data), "--model", str(model), "--groups", str(groups)]) == 3
-        assert "error: 576 coefficients from N=200 samples: singular" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: groups 'a' and 'b': 576 coefficients from N=200 samples: singular" in err
 
     def test_dimension_mismatch(self, tmp_path):
         data = tmp_path / "d.csv"

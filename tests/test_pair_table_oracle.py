@@ -32,7 +32,7 @@ from torusgraphs.model import (
     family_mask,
     param_dim,
 )
-from torusgraphs.sampling import UNIFORM_RANDOM, GibbsConfig
+from torusgraphs.sampling import GibbsConfig
 from torusgraphs.simulation import TruthGraph
 
 _DEGENERATE_LENGTH = 1e-12
@@ -149,15 +149,7 @@ def _gibbs_sample(params, cfg):
         raise DomainError("params must be a TorusGraphParams")
     d = params.d
     rng = np.random.default_rng(cfg.seed)
-    if isinstance(cfg.init, str):
-        if cfg.init != UNIFORM_RANDOM:
-            raise DomainError(f"unknown init {cfg.init!r}")
-        x = rng.uniform(0.0, 2.0 * np.pi, size=d)
-    else:
-        x = wrap_angle(np.asarray(cfg.init, dtype=float))
-        x = np.atleast_1d(x).copy()
-        if x.shape != (d,):
-            raise DomainError(f"init must have length {d}")
+    x = rng.uniform(0.0, 2.0 * np.pi, size=d)
     cx_c, cx_s, cy_c, cy_s = _conditional_coefficients(params)
     k1 = params.phi[0 : 2 * d : 2]
     k2 = params.phi[1 : 2 * d : 2]
@@ -405,13 +397,10 @@ def test_conditional_von_mises_matches_loop(data):
 def test_gibbs_sample_stream_matches_loop(data):
     d = data.draw(D, label="d")
     params = draw_params(data, d)
-    init = UNIFORM_RANDOM
-    if data.draw(st.booleans(), label="explicit_init"):
-        init = draw_angles(data, 1, d)[0]
     cfg = GibbsConfig(n_samples=data.draw(st.integers(1, 30), label="n_samples"),
                       burn_in=data.draw(st.integers(0, 20), label="burn_in"),
                       thin=data.draw(st.integers(1, 3), label="thin"),
-                      seed=data.draw(st.integers(0, 2**32 - 1), label="gibbs_seed"), init=init)
+                      seed=data.draw(st.integers(0, 2**32 - 1), label="gibbs_seed"))
     assert_same_bits(sampling.gibbs_sample(params, cfg), _gibbs_sample(params, cfg))
 
 

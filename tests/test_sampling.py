@@ -144,7 +144,7 @@ class TestGibbsSampler:
     def test_explicit_init_and_range(self):
         rng = np.random.default_rng(10)
         params = random_params(2, rng)
-        cfg = GibbsConfig(n_samples=100, burn_in=0, seed=1, init=np.array([0.1, 6.0]))
+        cfg = GibbsConfig(n_samples=100, burn_in=0, seed=1)
         draws = gibbs_sample(params, cfg)
         assert draws.shape == (100, 2)
         assert np.all((draws >= 0) & (draws < 2 * np.pi))
@@ -205,6 +205,16 @@ class TestGibbsSampleChains:
         assert len(updates) == 4 * (2 + 3 * 2)
         assert_updates_match_oracle(updates, params_list)
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_chain_is_the_gibbs_sample_stream(self, d, seed):
+        # both samplers share their start and keep schedule; the scalar and the
+        # batched node update differ by rounding only, over 250 sweeps
+        params = random_params(d, np.random.default_rng(40 + d))
+        cfg = GibbsConfig(n_samples=250, burn_in=0, seed=seed)
+        gap = np.abs(gibbs_sample(params, cfg) - gibbs_sample_chains([params], cfg)[0])
+        assert np.minimum(gap, 2 * np.pi - gap).max() <= 1e-9
+
     def test_detailed_balance_pooled_over_chains(self):
         # two bivariate models on alternating chains; each pool of draws
         # against its own grid-normalized density
@@ -247,8 +257,6 @@ class TestGibbsSampleChains:
             gibbs_sample_chains([], cfg)
         with pytest.raises(DomainError, match="same dimension"):
             gibbs_sample_chains([p2, p3], cfg)
-        with pytest.raises(DomainError, match="init"):
-            gibbs_sample_chains([p2], GibbsConfig(n_samples=5, init=np.array([0.1, 0.2])))
         with pytest.raises(DomainError):
             gibbs_sample_chains([p2, np.zeros(8)], cfg)
 
