@@ -21,10 +21,9 @@ Lanczos tridiagonal that CG's coefficients form, and the group lasso works
 through products alone. The only dense Gamma the package builds is the
 lower triangle of the active block that the sandwich covariance factors,
 written into a buffer whose upper half is never mapped and factored there.
-One walk over the data
-(:func:`_derivative_walk`) feeds each node's derivative rows both to the Gram
-blocks and to the sandwich covariance's residual rows, so a test reads each
-data row once.
+Only the moments' one walk over the data (:func:`accumulate_moments`) makes
+derivative rows: the sandwich's residual rows Gamma(x) phi - H(x) follow in
+closed form from the model score (:func:`_residual_rows`).
 
 Affine submodels are handled by index deletion (rows/columns of masked
 coordinates are dropped and the solution re-embedded with exact zeros). The
@@ -46,7 +45,9 @@ from .model import (
     Family,
     TorusGraphParams,
     _canonical_pairs,
+    _conditional_coefficients,
     _derivative_table,
+    _edge_index_arrays,
     coupling_coords,
     family_mask,
     param_dim,
@@ -54,6 +55,7 @@ from .model import (
 )
 
 _CHUNK = 256
+_RESIDUAL_CHUNK = 64  # its pair temporaries stay within one _CHUNK-row chunk of statistics
 _NORM_PANEL = 32
 _COND_LIMIT = 1e12
 _CG_RTOL = 1e-14
@@ -220,60 +222,68 @@ def _pairwise_reduce(blocks):
     return total
 
 
-def _derivative_walk(X, phi=None, idx=None, moments=None):
-    """One pass over the (N, d) angles X in 256-row chunks: per chunk the
-    statistics S, then each node's derivative rows A_l = dS[:, coords_l]/dx_l
-    (a signed gather of S). A_l makes the Gram block A_l' A_l unless
-    ``moments`` are passed and, given ``phi``, its term of the residual rows
-    Gamma(x) phi - H(x) on the columns ``idx``. Chunk sums are pairwise
-    reduced as they are made (deterministic, order-stable to ~1e-10 for large
-    N*d). Returns (moments, residual rows or None)."""
+def accumulate_moments(data):
+    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix in one
+    pass of 256-row chunks: the statistics S, then each node's derivative rows
+    A_l = dS[:, coords_l]/dx_l (a signed gather of S) and their Gram block
+    A_l' A_l. Chunk sums are pairwise reduced as they are made (deterministic,
+    order-stable to ~1e-10 for large N*d); no 2d^2-square array is made."""
+    X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
     if n < 1:
         raise DomainError("need at least one sample")
-    coords, src, sign = _derivative_table(d)
-    R = None if phi is None else np.empty((n, idx.size))
+    _, src, sign = _derivative_table(d)
     h_parts = []
 
-    def chunks():
+    def grams():
         for start in range(0, n, _CHUNK):
             S = suff_stats_batch(X[start : start + _CHUNK])
-            g = np.empty((d, src.shape[1], src.shape[1])) if moments is None else None
-            r = None if phi is None else -S
-            if r is not None:
-                r[:, 2 * d :] *= 2.0  # -H(x) = -[S1, 2 S2]
+            g = np.empty((d, src.shape[1], src.shape[1]))
             for l in range(d):
                 A = S[:, src[l]]
                 A *= sign[l]  # dS[:, coords_l] / dx_l, all rows of the chunk
-                if g is not None:
-                    g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
-                if r is not None:
-                    r[:, coords[l]] += A * (A @ phi[coords[l]])[:, None]
-            if g is not None:
-                h = S.sum(axis=0)
-                h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
-                h_parts.append(h)
-            if r is not None:
-                # the indices are in range; mode="raise" would write through a buffer
-                np.take(r, idx, axis=1, out=R[start : start + len(S)], mode="clip")
-            del S, A, r
+                g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
+            h = S.sum(axis=0)
+            h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
+            h_parts.append(h)
+            del S, A
             yield g
             del g  # no chunk array stays alive while the next chunk is made
 
-    if moments is not None:
-        for _ in chunks():  # the walk for R alone
-            pass
-        return moments, R
-    blocks = _pairwise_reduce(chunks())
+    blocks = _pairwise_reduce(grams())
     blocks /= n
     h = _pairwise_reduce(h_parts) / n
-    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n), R
+    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
 
 
-def accumulate_moments(data):
-    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix
-    (:func:`_derivative_walk`); no 2d^2-square array is made."""
-    return _derivative_walk(np.atleast_2d(np.asarray(data, dtype=float)))[0]
+def _residual_rows(X, params, idx):
+    """Residual rows r(x) = Gamma(x) phi - H(x) of the (N, d) angles X on the
+    coordinates ``idx``, (N, |idx|), in closed form: Gamma(x) phi = D(x) g for
+    the model score g = D(x)' phi, read off the conditional table. A
+    (cos u, sin u) pair of statistics has derivative (-sin u, cos u) du/dx,
+    so its entries of r are those of (i u' - c) e^(iu): u' = g_l and c = 1 for
+    node l's marginal, u' = g_j -+ g_k and c = 2 for u = x_j -+ x_k, whose
+    e^(iu) comes by angle addition."""
+    n, d = X.shape
+    rows, bias = _conditional_coefficients(params)
+    rows, bias = rows.reshape(2 * d, 2 * d).T, bias.ravel()
+    jj, kk = _edge_index_arrays(d)
+    R = np.empty((n, idx.size))
+    for start in range(0, n, _RESIDUAL_CHUNK):
+        x = X[start : start + _RESIDUAL_CHUNK]
+        c, s = np.cos(x), np.sin(x)
+        b = np.hstack([c, s]) @ rows + bias  # column 2l is node l's b_x, 2l + 1 its b_y
+        g = c * b[:, 1::2] - s * b[:, 0::2]
+        z = c + 1j * s
+        # the statistics' layout as (cos u, sin u) pairs: marginals, then (x_j - x_k, x_j + x_k)
+        r = np.empty((len(x), d * d), dtype=complex)
+        r[:, :d] = (1j * g - 1) * z
+        zj, zk = z[:, jj], z[:, kk]
+        r[:, d::2] = (1j * (g[:, jj] - g[:, kk]) - 2) * (zj * zk.conj())
+        r[:, d + 1 :: 2] = (1j * (g[:, jj] + g[:, kk]) - 2) * (zj * zk)
+        # the indices are in range; mode="raise" would write through a buffer
+        np.take(r.view(float), idx, axis=1, out=R[start : start + len(x)], mode="clip")
+    return R
 
 
 def sm_objective(phi, moments):

@@ -3,19 +3,19 @@
 The estimator solves an unbiased linear estimating equation, so sqrt(N) times
 the estimation error is asymptotically normal with the sandwich covariance
 Sigma = Gamma^-1 V Gamma^-1, where V is the second moment of the per-sample
-residual Gamma(x) phi - H(x), formed in the moments' own walk over the data:
-entry l of D(x)' phi is A_l phi[coords_l], mapped back by A_l onto coords_l.
-Sigma is never formed. With R the (N, |active|) residual rows on the family's
-active coordinates, Sigma = F'F for the factor F = R Gamma^-1 / sqrt(N), and
-a test reads only the block F_c'F_c of the coordinates c it tests
-(:class:`SandwichCov`). Quadratic forms of coefficient blocks against that
-covariance give chi-squared statistics with one degree of freedom per tested
-coordinate: 4 for a full coupling block, 2 for its rotational or reflectional
-half, and 2|E| or 4|E| for groups of edges. Every pair, one pair or one group
-is tested as one stack of blocks, with one batched product, solve and
-chi-squared call. The CLI and the benchmark harness score all pairs through
-:func:`edge_tests` and, for the pairwise phase-locking baseline,
-:func:`plv_tests`. Multiple testing is corrected in one place,
+residual Gamma(x) phi - H(x), the score-matching estimating function, whose
+rows come in closed form from the model score D(x)' phi
+(:func:`torusgraphs.estimation._residual_rows`). Sigma is never formed. With R
+the (N, |active|) residual rows on the family's active coordinates, Sigma = F'F
+for the factor F = R Gamma^-1 / sqrt(N), and a test reads only the block
+F_c'F_c of the coordinates c it tests (:class:`SandwichCov`). Quadratic forms
+of coefficient blocks against that covariance give chi-squared statistics with
+one degree of freedom per tested coordinate: 4 for a full coupling block, 2 for
+its rotational or reflectional half, and 2|E| or 4|E| for groups of edges.
+Every pair, one pair or one group is tested as one stack of blocks, with one
+batched product, solve and chi-squared call. The CLI and the benchmark harness
+score all pairs through :func:`edge_tests` and, for the pairwise phase-locking
+baseline, :func:`plv_tests`. Multiple testing is corrected in one place,
 :func:`correct_pvalues`.
 """
 
@@ -31,8 +31,9 @@ from .estimation import (
     ScoreMatchingMoments,
     _checked_cholesky,
     _cross_validate,
-    _derivative_walk,
     _positions,
+    _residual_rows,
+    accumulate_moments,
     fit_group_lasso,
 )
 from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
@@ -88,28 +89,31 @@ class SandwichCov:
 def asymptotic_cov(data, params, moments=None):
     """Sandwich covariance of sqrt(N)(phi_hat - phi) on the family's active set.
 
-    With residual rows r_n = Gamma(x_n) phi - H(x_n) on the active
-    coordinates, V_hat = R'R / N and Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1
-    = F'F for the factor F = R Gamma_hat^-1 / sqrt(N), which is all that is
-    formed. R comes from the moments' walk over the data, which also
-    accumulates the moments when none are passed. The lower triangle of the
-    active Gamma block is written from the moments' node blocks
-    (:meth:`ScoreMatchingMoments.gamma_lower`) into a buffer whose upper
-    half is never mapped, and factored there; the solve against R is written
-    into R. So the triangle and R are the only large arrays, and the
-    triangle costs half an m-square array. Tests read small blocks of Sigma
-    through :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
-    coefficient vector. Raises SingularMomentsError when the active block is
-    singular or its condition estimate exceeds 1e12, as the closed-form fit
-    does.
+    With residual rows r_n = Gamma(x_n) phi - H(x_n) on the active coordinates
+    (:func:`torusgraphs.estimation._residual_rows`), V_hat = R'R / N and
+    Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1 = F'F for the factor
+    F = R Gamma_hat^-1 / sqrt(N), which is all that is formed. The moments, if
+    none are passed, are accumulated here. The lower triangle of the active
+    Gamma block is written from the moments' node blocks
+    (:meth:`ScoreMatchingMoments.gamma_lower`) into a buffer whose upper half
+    is never mapped, and factored there; the solve against R is written into R.
+    So the triangle and R are the only large arrays, and the triangle costs
+    half an m-square array. Tests read small blocks of Sigma through
+    :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
+    coefficient vector. Raises SingularMomentsError, as the closed-form fit
+    does, on a singular active block or a condition estimate above 1e12.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
     if d != params.d:
         raise DomainError(f"data dimension {d} does not match model dimension {params.d}")
     m = param_dim(d)
+    if n < 1:
+        raise DomainError("need at least one sample")
+    if moments is None:
+        moments = accumulate_moments(X)
     idx = np.nonzero(params.active)[0]
-    moments, R = _derivative_walk(X, params.phi, idx, moments)
+    R = _residual_rows(X, params, idx)
     cho = _checked_cholesky(moments.gamma_lower(idx), moments.n, m)
     # R' is Fortran-ordered, so the solve overwrites R with R Gamma^-1
     scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
@@ -329,12 +333,9 @@ def goodness_of_fit(data, fit, n_synth=2000, seed=0):
 
     Per channel, a two-sample KS on the angles; per pair, KS on the wrapped
     differences and wrapped sums (all mapped to [0, 2pi) with origin 0); the
-    three groups are each combined with Fisher's method. ``fit`` is a
-    FitResult or the TorusGraphParams to check; only the parameters are read.
-
-    Returns
-    -------
-    dict with keys p_marginal, p_diff, p_sum.
+    three groups are each combined with Fisher's method, into the p_marginal,
+    p_diff and p_sum of the returned dict. ``fit`` is a FitResult or the
+    TorusGraphParams to check; only the parameters are read.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape

@@ -268,6 +268,27 @@ def _derivative_table(d):
     return _read_only(idx, src, sign)
 
 
+def _conditional_coefficients(params):
+    """Every node's conditional exponent as rows (d, 2, 2d) and bias (d, 2),
+    scattered from the coupling table: for a state x with cs = (cos x | sin x)
+    and b = rows[k] @ cs + bias[k], phi . S(x) is b[0] cos x_k + b[1] sin x_k
+    plus terms free of x_k. So x_k given the rest is von Mises with
+    concentration hypot(b[0], b[1]) and mean atan2(b[1], b[0]), and the model
+    score d(phi . S)/dx_k is b[1] cos x_k - b[0] sin x_k. rows[k] is zero on
+    x_k's own two columns; bias[k] is node k's marginal block."""
+    d = params.d
+    jj, kk = _edge_index_arrays(d)
+    a, b, g, dl = params.phi[coupling_coords(d)].T
+    rows = np.zeros((d, 2, 2 * d))
+    # for node k the neighbor is j (j < k, sign -1); for node j it is k (+1)
+    for node, other, h in ((kk, jj, -1.0), (jj, kk, +1.0)):
+        rows[node, 0, other] += a + g
+        rows[node, 0, d + other] += dl - h * b
+        rows[node, 1, other] += h * b + dl
+        rows[node, 1, d + other] += a - g
+    return rows, params.phi[: 2 * d].reshape(d, 2)
+
+
 def log_unnorm_density(params, x):
     """Exponent phi . S(x); 2pi-periodic in every coordinate.
 

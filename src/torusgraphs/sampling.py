@@ -5,7 +5,8 @@ addition, to a single von Mises density. Writing the conditional exponent as
 b_x cos(x_k) + b_y sin(x_k), the marginal block contributes the constant
 terms and each coupling block contributes linear combinations of cos(x_j) and
 sin(x_j) with coefficients fixed by the block. Those coefficients are
-computed once (:func:`_conditional_coefficients`) and serve
+tabled once, by :func:`torusgraphs.model._conditional_coefficients`, whose
+table also gives the sandwich covariance its model score, and serve
 :func:`conditional_von_mises` and both samplers. The one-chain
 (:func:`gibbs_sample`) and the many-chain (:func:`gibbs_sample_chains`)
 sampler share their checked start (:func:`_start`) and keep schedule
@@ -19,7 +20,7 @@ import numpy as np
 
 from .circular import wrap_angle
 from .exceptions import DomainError
-from .model import TorusGraphParams, _edge_index_arrays, coupling_coords
+from .model import TorusGraphParams, _conditional_coefficients
 
 
 @dataclass(frozen=True)
@@ -40,45 +41,10 @@ class GibbsConfig:
             raise DomainError("burn_in must be >= 0")
 
 
-def _conditional_coefficients(params):
-    """Every node's conditional exponent as one row table, scattered from
-    the coupling table.
-
-    Returns rows (d, 2, 2d) and bias (d, 2) such that for state x with
-    cs = (cos x | sin x), b = rows[k] @ cs + bias[k] and the conditional of
-    x_k given the rest is von Mises with concentration hypot(b[0], b[1]) and
-    mean atan2(b[1], b[0]). rows[k] is zero on x_k's own two columns, and
-    bias[k] is node k's marginal block (phi_k1, phi_k2).
-    """
-    d = params.d
-    jj, kk = _edge_index_arrays(d)
-    a, b, g, dl = params.phi[coupling_coords(d)].T
-    rows = np.zeros((d, 2, 2 * d))
-    # for node k the neighbor is j (j < k, sign -1); for node j it is k (+1)
-    for node, other, h in ((kk, jj, -1.0), (jj, kk, +1.0)):
-        rows[node, 0, other] += a + g
-        rows[node, 0, d + other] += dl - h * b
-        rows[node, 1, other] += h * b + dl
-        rows[node, 1, d + other] += a - g
-    return rows, params.phi[: 2 * d].reshape(d, 2)
-
-
 def conditional_von_mises(params, k, x_rest):
-    """Amplitude and phase of the von Mises conditional of node k.
-
-    Parameters
-    ----------
-    params : TorusGraphParams
-    k : int
-        Updated coordinate.
-    x_rest : array of length d - 1
-        The other coordinates in index order (k removed).
-
-    Returns
-    -------
-    (A, Delta) : (float, float)
-        Conditional density proportional to exp(A cos(x_k - Delta)).
-    """
+    """Amplitude and phase (A, Delta) of the von Mises conditional of node k,
+    proportional to exp(A cos(x_k - Delta)), given ``x_rest``, the other
+    d - 1 coordinates in index order."""
     d = params.d
     x_rest = np.asarray(x_rest, dtype=float)
     if not 0 <= k < d:
@@ -165,15 +131,16 @@ def gibbs_sample(params, cfg):
     return _kept_states(cfg, state, sweep)[0]
 
 
-def _chain_conditionals(weights, bias, cs):
-    """Von Mises (mean, concentration) of one node in every chain.
-
-    ``weights`` (C, 2, 2d) and ``bias`` (C, 2) hold the node's rows and bias
-    of :func:`_conditional_coefficients` in each chain, and ``cs`` (C, 2d)
-    each chain's state as (cos x | sin x).
-    """
-    b = np.matmul(weights, cs[:, :, None])[:, :, 0] + bias
-    return np.arctan2(b[:, 1], b[:, 0]), np.hypot(b[:, 0], b[:, 1])
+def _chain_conditionals(weights, bias, cs, b, mean, amp):
+    """Von Mises (mean, concentration) of one node in every chain, written into
+    ``mean`` and ``amp`` (C,) through the work array ``b`` (C, 2, 1), from the
+    node's rows ``weights`` (C, 2, 2d) and ``bias`` (C, 2) of the conditional
+    table in each chain and each chain's state ``cs`` (C, 2d), (cos x | sin x)."""
+    np.matmul(weights, cs[:, :, None], out=b)
+    np.add(b[:, :, 0], bias, out=b[:, :, 0])
+    np.arctan2(b[:, 1, 0], b[:, 0, 0], out=mean)
+    np.hypot(b[:, 0, 0], b[:, 1, 0], out=amp)
+    return mean, amp
 
 
 def gibbs_sample_chains(params_list, cfg):
@@ -187,15 +154,16 @@ def gibbs_sample_chains(params_list, cfg):
     :func:`gibbs_sample`'s stream, equal up to rounding.
     """
     rng, x, weights, bias = _start(params_list, cfg)
-    d = x.shape[1]
+    C, d = x.shape
     cs = np.hstack([np.cos(x), np.sin(x)])
+    work = np.empty((C, 2, 1)), np.empty(C), np.empty(C)  # each update's b, mean and amp
     vonmises = rng.vonmises
 
     def sweep():
         for k in range(d):
-            xk = vonmises(*_chain_conditionals(weights[k], bias[k], cs))
+            xk = vonmises(*_chain_conditionals(weights[k], bias[k], cs, *work))
             x[:, k] = xk
-            cs[:, k] = np.cos(xk)
-            cs[:, d + k] = np.sin(xk)
+            np.cos(xk, out=cs[:, k])
+            np.sin(xk, out=cs[:, d + k])
 
     return _kept_states(cfg, x, sweep)

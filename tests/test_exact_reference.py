@@ -19,7 +19,9 @@ Bounds, fixed before the first run:
 
 The sandwich blocks are only measured against the reference (run this file as
 a script to print the gaps of the package and of the dense oracle in
-``test_dense_oracle.py``); the tests below check the reference itself.
+``test_dense_oracle.py``, on the cases above and on the 40 derandomized
+examples of ``test_dense_oracle.test_cov_blocks_match_dense``); the tests
+below check the reference itself.
 """
 
 import numpy as np
@@ -157,12 +159,10 @@ def test_long_double_cholesky_solves(m):
     assert np.abs(A @ cho_solve_ld(L, B) - B).max() <= 1e-16 * np.abs(B).max()
 
 
-def sandwich_gaps(d, n, family=Family.FULL):
+def sandwich_gaps(X, fit):
     """max |Sigma - Sigma_ref| over the active block for the package and the
     dense oracle, and max |Sigma_ref|; None when the family leaves no active
     coordinate (d = 1 without marginals)."""
-    X = case_data(d, n)
-    fit = fit_closed_form(X, family=family)
     idx = np.nonzero(fit.params.active)[0]
     if not idx.size:
         return None
@@ -173,12 +173,47 @@ def sandwich_gaps(d, n, family=Family.FULL):
             float(np.abs(oracle.astype(LD) - ref).max()), float(np.abs(ref).max()))
 
 
+def dense_oracle_cases():
+    """(X, fit) of every example that test_cov_blocks_match_dense runs, in its
+    order, recorded from its call of fit_closed_form while it runs."""
+    import test_dense_oracle
+
+    cases = []
+    inner = test_dense_oracle.fit_closed_form
+
+    def recorded(X, **kwargs):
+        fit = inner(X, **kwargs)
+        cases.append((X, fit))
+        return fit
+
+    test_dense_oracle.fit_closed_form = recorded
+    try:
+        test_dense_oracle.test_cov_blocks_match_dense()
+    finally:
+        test_dense_oracle.fit_closed_form = inner
+    return cases
+
+
+def _print_gaps(label, X, fit):
+    gaps = sandwich_gaps(X, fit)
+    if gaps is not None:
+        print(f"{label}  package {gaps[0]:.2e}  dense oracle {gaps[1]:.2e}  "
+              f"max|Sigma| {gaps[2]:.2e}")
+    return gaps
+
+
 if __name__ == "__main__":
     for family in Family:
         for d, n in CASES:
-            gaps = sandwich_gaps(d, n, family)
-            if gaps is None:
-                continue
-            package, oracle, scale = gaps
-            print(f"{family.value:20s} d={d} N={n:2d}  package {package:.2e}  "
-                  f"dense oracle {oracle:.2e}  max|Sigma| {scale:.2e}")
+            X = case_data(d, n)
+            _print_gaps(f"{family.value:20s} d={d} N={n:3d}", X, fit_closed_form(X, family=family))
+    worst = np.zeros(2)
+    cases = dense_oracle_cases()
+    for i, (X, fit) in enumerate(cases):
+        n, d = X.shape
+        gaps = _print_gaps(f"dense-oracle case {i:2d}: {fit.params.family.value:17s} d={d} N={n:3d}",
+                           X, fit)
+        if gaps is not None:
+            worst = np.maximum(worst, gaps[:2])
+    print(f"largest over the {len(cases)} dense-oracle cases: package {worst[0]:.2e}  "
+          f"dense oracle {worst[1]:.2e}")

@@ -165,13 +165,15 @@ class TestGibbsSampler:
 
 
 def record_updates(monkeypatch):
-    """Record (state, mean, amplitude) of every batched node update."""
+    """Record (state, mean, amplitude) of every batched node update; the
+    update writes into work arrays that the next one reuses, so each is
+    copied."""
     updates = []
     inner = torusgraphs.sampling._chain_conditionals
 
-    def recorded(weights, bias, cs):
-        mean, amp = inner(weights, bias, cs)
-        updates.append((cs.copy(), mean, amp))
+    def recorded(weights, bias, cs, *work):
+        mean, amp = inner(weights, bias, cs, *work)
+        updates.append((cs.copy(), mean.copy(), amp.copy()))
         return mean, amp
 
     monkeypatch.setattr(torusgraphs.sampling, "_chain_conditionals", recorded)
@@ -194,7 +196,38 @@ def assert_updates_match_oracle(updates, params_list):
                 assert min(gap, 2 * np.pi - gap) <= 1e-12
 
 
+def allocating_chains(params_list, cfg):
+    """gibbs_sample_chains with its former node update, which allocates every
+    array it makes: the oracle of the update through work arrays."""
+    rng, x, weights, bias = torusgraphs.sampling._start(params_list, cfg)
+    d = x.shape[1]
+    cs = np.hstack([np.cos(x), np.sin(x)])
+    vonmises = rng.vonmises
+
+    def conditionals(weights, bias, cs):
+        b = np.matmul(weights, cs[:, :, None])[:, :, 0] + bias
+        return np.arctan2(b[:, 1], b[:, 0]), np.hypot(b[:, 0], b[:, 1])
+
+    def sweep():
+        for k in range(d):
+            xk = vonmises(*conditionals(weights[k], bias[k], cs))
+            x[:, k] = xk
+            cs[:, k] = np.cos(xk)
+            cs[:, d + k] = np.sin(xk)
+
+    return torusgraphs.sampling._kept_states(cfg, x, sweep)
+
+
 class TestGibbsSampleChains:
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("C", [1, 20])
+    def test_work_arrays_draw_the_allocating_stream(self, d, C):
+        rng = np.random.default_rng(50 + d + C)
+        params_list = [random_params(d, rng, scale=s) for s in rng.uniform(0.1, 3.0, size=C)]
+        cfg = GibbsConfig(n_samples=40, burn_in=30, thin=2, seed=d + C)
+        np.testing.assert_array_equal(gibbs_sample_chains(params_list, cfg),
+                                      allocating_chains(params_list, cfg))
+
     def test_updates_match_conditional_oracle(self, monkeypatch):
         # chains with different parameters, one with all-zero parameters
         rng = np.random.default_rng(31)
