@@ -87,7 +87,7 @@ def _load_model_data(args):
 def _tested_fit(ds, params, requested_mode):
     """(fit, sandwich covariance, test mode) of a loaded model on its data; the
     fit's residual is taken on the model's active set."""
-    cov = asymptotic_cov(ds.angles, params)  # its one statistics pass is the moments' walk
+    cov = asymptotic_cov(ds.angles, params)  # its one pass over the data is the moments' walk
     resid = _equation_residual(cov.moments, params.phi, np.nonzero(params.active)[0])
     fit = FitResult(params=params, moments=cov.moments, method="loaded", residual_norm=resid)
     return fit, cov, _auto_mode(params.family, requested_mode)

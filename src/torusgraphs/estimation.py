@@ -8,22 +8,27 @@ unpenalized estimate solves the linear system Gamma_hat phi = H_hat. No
 normalization constant is ever needed, which is the whole point: the
 likelihood's normalizer is intractable here.
 
-D is never built densely for a batch. Column l of D is a signed gather of
-the statistics themselves (:func:`torusgraphs.model._derivative_table`): only
-the 4d - 2 coordinates touching node l are nonzero, so Gamma_hat is a sum over
-nodes of (4d - 2)-square Gram blocks B_l = A_l' A_l / N placed on those
-coordinates, O(N d^3) work. The moments keep the d blocks, not the 2d^2-square
-Gamma_hat: a product with Gamma_hat, or with its restriction to a fit's active
-coordinates, is one batched product over the blocks (:class:`GammaOperator`),
-O(d^3). The closed-form fit solves Gamma_hat phi = H_hat by conjugate
-gradients through those products, with a condition guard read off the
-Lanczos tridiagonal that CG's coefficients form, and the group lasso works
-through products alone. The only dense Gamma the package builds is the
-lower triangle of the active block that the sandwich covariance factors,
-written into a buffer whose upper half is never mapped and factored there.
-Only the moments' one walk over the data (:func:`accumulate_moments`) makes
-derivative rows: the sandwich's residual rows Gamma(x) phi - H(x) follow in
-closed form from the model score (:func:`_residual_rows`).
+D is never built. Column l of D is nonzero only on the 4d - 2 coordinates
+that touch node l (:func:`torusgraphs.model._node_coords`), so Gamma_hat is a
+sum over nodes of (4d - 2)-square blocks B_l = A_l' A_l / N placed on those
+coordinates, A_l being node l's derivative rows. Those rows are
+cos x_l (F_l v) + sin x_l (G_l v) for v = (1, cos x, sin x) and fixed signed
+selections F_l and G_l, so by the double angle every block follows from
+M = E[v v'] and T_l = E[(cos 2x_l, sin 2x_l) v v'], and H_hat from M. The
+moments' one walk over the data (:func:`accumulate_moments`) adds up those
+products by one matrix product per chunk of rows, O(N d^3) work, and forms
+neither the statistics nor the derivative rows. The moments keep the d
+blocks, not the 2d^2-square Gamma_hat: a product with Gamma_hat, or with its
+restriction to a fit's active coordinates, is one batched product over the
+blocks (:class:`GammaOperator`), O(d^3). The closed-form fit solves
+Gamma_hat phi = H_hat by conjugate gradients through those products, with a
+condition guard read off the Lanczos tridiagonal that CG's coefficients form,
+and the group lasso works through products alone. The only dense Gamma the
+package builds is the lower triangle of the active block that the sandwich
+covariance factors, written into a buffer whose upper half is never mapped
+and factored there. The sandwich's residual rows Gamma(x) phi - H(x) need no
+derivative rows either: they follow in closed form from the model score
+(:func:`_residual_rows`).
 
 Affine submodels are handled by index deletion (rows/columns of masked
 coordinates are dropped and the solution re-embedded with exact zeros). The
@@ -33,6 +38,7 @@ step size set by the largest eigenvalue of the active Gamma, which ARPACK's
 Lanczos iteration finds from products with the operator.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,16 +52,20 @@ from .model import (
     TorusGraphParams,
     _canonical_pairs,
     _conditional_coefficients,
-    _derivative_table,
     _edge_index_arrays,
+    _node_coords,
+    _read_only,
     coupling_coords,
     family_mask,
     param_dim,
-    suff_stats_batch,
 )
 
-_CHUNK = 256
-_RESIDUAL_CHUNK = 64  # its pair temporaries stay within one _CHUNK-row chunk of statistics
+_CHUNK = 256  # a chunk of the moments' walk holds no more values than _CHUNK rows of statistics
+# OpenBLAS runs a matrix product of fewer multiply-adds than this on one thread
+_ONE_THREAD_PRODUCT = 2**19
+_MIN_ONE_THREAD_ROWS = 64
+_BLOCK_GROUPS = 8  # the node blocks are assembled in about this many groups of nodes
+_RESIDUAL_CHUNK = 64  # its pair temporaries stay within _CHUNK rows of statistics
 _NORM_PANEL = 32
 _COND_LIMIT = 1e12
 _CG_RTOL = 1e-14
@@ -95,10 +105,11 @@ class ScoreMatchingMoments:
     ``blocks`` is (d, 4d - 2, 4d - 2): block l is B_l = A_l' A_l / n, the Gram
     matrix of the derivatives with respect to x_l of the 4d - 2 statistics
     that depend on it (their coordinates are row l of
-    ``model._derivative_table(d)[0]``). Gamma_hat is the sum of the blocks
-    placed on those coordinates; it is applied by :meth:`gamma_dot`, applied
-    on a coordinate subset by :meth:`gamma_operator`, and its lower triangle
-    on one is written by :meth:`gamma_lower`. ``h_hat`` is
+    ``model._node_coords(d)``), made by :func:`accumulate_moments` from the
+    products of (1, cos x, sin x) without forming A_l. Gamma_hat is the sum of
+    the blocks placed on those coordinates; it is applied by :meth:`gamma_dot`,
+    applied on a coordinate subset by :meth:`gamma_operator`, and its lower
+    triangle on one is written by :meth:`gamma_lower`. ``h_hat`` is
     (2d^2,), and ``n`` the sample count the moments average over.
     """
 
@@ -133,7 +144,7 @@ class ScoreMatchingMoments:
         :class:`GammaOperator`. The blocks are shared when every coordinate of
         every block is in the set, and otherwise gathered once here."""
         coords = np.asarray(coords, dtype=int)
-        table = _positions(self.h_hat.size, coords)[_derivative_table(self.d)[0]]
+        table = _positions(self.h_hat.size, coords)[_node_coords(self.d)]
         kept = table >= 0
         if kept.all():
             return GammaOperator(self.blocks, table, coords.size)
@@ -157,7 +168,7 @@ class ScoreMatchingMoments:
         m = coords.size
         G = _lower_buffer(m)
         cells = G.reshape(-1, order="F")  # a view: cell (i, j) is i + m j
-        table = _positions(self.h_hat.size, coords)[_derivative_table(self.d)[0]]
+        table = _positions(self.h_hat.size, coords)[_node_coords(self.d)]
         for pos, B in zip(table, self.blocks):
             lower = (pos[:, None] >= pos) & (pos >= 0)
             # one node's cells are distinct, so the buffered add adds each entry once
@@ -222,38 +233,178 @@ def _pairwise_reduce(blocks):
     return total
 
 
+@functools.lru_cache(maxsize=32)
+def _walk_tables(d):
+    """Index tables of the moments' walk at dimension d, read-only and cached
+    by d. A row's v = (1, cos x_0, sin x_0, ..., cos x_(d-1), sin x_(d-1)) has
+    2d + 1 entries, and its products v_i v_j (i <= j) are packed row by row:
+
+    - ``start`` (2d + 2,): where the products of each v_i begin;
+    - ``packed`` (2d + 1, 2d + 1): the place of v_i v_j, i and j in either
+      order;
+    - ``swapped`` (2d,): the places in v of every node's (sin, cos);
+    - ``keep`` (d, 4d - 2): node l's rows among the 4d + 2 that
+      :func:`_node_blocks` assembles with every node as a partner, all but
+      the difference and the sum with itself."""
+    size = 2 * d + 1
+    i, j = np.triu_indices(size)
+    packed = np.empty((size, size), dtype=np.intp)
+    packed[i, j] = packed[j, i] = np.arange(i.size)
+    start = np.concatenate([[0], np.cumsum(np.arange(size, 0, -1))])
+    swapped = np.arange(1, size).reshape(d, 2)[:, ::-1].ravel()
+    own = 2 + 2 * np.arange(d)[:, None] + [0, 1, 2 * d, 2 * d + 1]
+    keep = np.stack([np.delete(np.arange(4 * d + 2), rows) for rows in own])
+    return _read_only(start, packed, swapped, keep)
+
+
+def _chunk_products(x, P, start):
+    """[1 | cos 2x | sin 2x]' applied to the packed products v_i v_j (i <= j)
+    of v = (1, cos x, sin x) for the rows x of one chunk, (2d + 1, K): row 0
+    sums the products, and rows 1 + 2l and 2 + 2l weight them by cos 2x_l and
+    sin 2x_l. The products are written into the first len(x) columns of P,
+    (K, at least len(x)), and the double angles come from cos x and sin x."""
+    n, d = x.shape
+    v = np.empty((2 * d + 1, n))
+    u = np.empty_like(v)
+    c, s = np.cos(x.T), np.sin(x.T)
+    v[0] = u[0] = 1.0
+    v[1::2], v[2::2] = c, s
+    np.multiply(c - s, c + s, out=u[1::2])
+    np.multiply(2.0 * s, c, out=u[2::2])
+    P = P[:, :n]
+    for i in range(v.shape[0]):
+        np.multiply(v[i], v[i:], out=P[start[i] : start[i + 1]])
+    return u @ P.T
+
+
 def accumulate_moments(data):
-    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix in one
-    pass of 256-row chunks: the statistics S, then each node's derivative rows
-    A_l = dS[:, coords_l]/dx_l (a signed gather of S) and their Gram block
-    A_l' A_l. Chunk sums are pairwise reduced as they are made (deterministic,
-    order-stable to ~1e-10 for large N*d); no 2d^2-square array is made."""
+    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix.
+
+    With v = (1, cos x, sin x), every moment is a fixed combination of the
+    entries of M = E[v v'] and T_l = E[(cos 2x_l, sin 2x_l) v v'] (see
+    :func:`_node_blocks`), so the walk adds up only those. One pass over
+    chunks of rows forms the products v_i v_j (i <= j) into one reused buffer
+    and adds them up against (1, cos 2x, sin 2x) in one matrix product. A
+    chunk's products stay within _CHUNK rows of the 2d^2 statistics, and its
+    matrix product on one thread where that leaves _MIN_ONE_THREAD_ROWS rows
+    or more. The chunk sums are pairwise reduced as they are made
+    (deterministic, order-stable to ~1e-10 for large N*d). The node blocks,
+    each exactly symmetric, and H_hat are then assembled from the sums; no
+    2d^2-square array and no statistics or derivative rows are made."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
     if n < 1:
         raise DomainError("need at least one sample")
-    _, src, sign = _derivative_table(d)
-    h_parts = []
+    tables = _walk_tables(d)
+    start, packed = tables[:2]
+    rows = _CHUNK * param_dim(d) // start[-1]
+    one_thread = _ONE_THREAD_PRODUCT // (start[-1] * (2 * d + 1))
+    if one_thread >= _MIN_ONE_THREAD_ROWS:
+        # a product this small gains nothing from a second thread, and waking
+        # one sometimes stalls a busy host for tens of ms
+        rows = min(rows, one_thread)
+    P = np.empty((start[-1], min(rows, n)))
+    total = _pairwise_reduce(_chunk_products(X[a : a + rows], P, start) for a in range(0, n, rows))
+    del P
+    total /= 2 * n  # half of each mean, exactly: the blocks' factor 1/2
+    blocks = _node_blocks(total, tables)
+    return ScoreMatchingMoments(blocks=blocks, h_hat=_h_from(2.0 * total[0], packed, d), n=n)
 
-    def grams():
-        for start in range(0, n, _CHUNK):
-            S = suff_stats_batch(X[start : start + _CHUNK])
-            g = np.empty((d, src.shape[1], src.shape[1]))
-            for l in range(d):
-                A = S[:, src[l]]
-                A *= sign[l]  # dS[:, coords_l] / dx_l, all rows of the chunk
-                g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
-            h = S.sum(axis=0)
-            h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
-            h_parts.append(h)
-            del S, A
-            yield g
-            del g  # no chunk array stays alive while the next chunk is made
 
-    blocks = _pairwise_reduce(grams())
-    blocks /= n
-    h = _pairwise_reduce(h_parts) / n
-    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
+def _h_from(m, packed, d):
+    """H_hat = E[S1, 2 S2] from the packed moments m = E[v v'] by angle
+    addition: S1 is v without its constant entry, and each pair's S2 comes
+    from the products of its two nodes' (cos, sin)."""
+    jj, kk = _edge_index_arrays(d)
+    cj, sj, ck, sk = 1 + 2 * jj, 2 + 2 * jj, 1 + 2 * kk, 2 + 2 * kk
+    cc, ss = m[packed[cj, ck]], m[packed[sj, sk]]
+    sc, cs = m[packed[sj, ck]], m[packed[cj, sk]]
+    h = np.empty(param_dim(d))
+    h[: 2 * d] = m[1 : 2 * d + 1]
+    h[2 * d :: 4] = 2.0 * (cc + ss)
+    h[2 * d + 1 :: 4] = 2.0 * (sc - cs)
+    h[2 * d + 2 :: 4] = 2.0 * (cc - ss)
+    h[2 * d + 3 :: 4] = 2.0 * (sc + cs)
+    return h
+
+
+def _node_blocks(total, tables):
+    """The node blocks (d, 4d - 2, 4d - 2) from ``total``, whose rows are
+    halves of the packed moments (:func:`_walk_tables`): m = E[v v'] / 2 in
+    row 0, and c = E[cos 2x_l v v'] / 2 and s = E[sin 2x_l v v'] / 2 in rows
+    1 + 2l and 2 + 2l.
+
+    Slot t of node l is the angle y = x_l + e x_p: e = 0 for its marginal,
+    -1 for the difference and +1 for the sum with partner p. Its derivative
+    rows are (-sin y, w cos y), w = -1 only for x_p - x_l with p < l. By angle
+    addition each is cos x_l (F v) + sin x_l (G v), where F and G pick one
+    signed entry of v: -sin y = cos x_l (-e sin x_p) + sin x_l (-cos x_p) and
+    w cos y = cos x_l (w cos x_p) + sin x_l (-w e sin x_p). As
+    cos^2 = (1 + cos 2x) / 2, sin^2 = (1 - cos 2x) / 2 and
+    cos sin = (sin 2x) / 2, B_l = F Yf F' + G Yg G' + F S G' + G S F' for
+    Yf = m + c, Yg = m - c and S = s, unpacked. On the partners' pairs G
+    picks (cos, sin) and F (sin, cos), and the signs are fixed but for w: with
+    eta = (-1, 1) on each slot's (-sin, cos) rows, F's signs are (1, w) on a
+    difference and eta on a sum, G's (-1, w) and (-1, -1). The marginal's rows
+    (-sin x_l, cos x_l) take v's constant entry.
+
+    The blocks are assembled for groups of nodes at once, each with every
+    node as a partner, and each node's own difference and sum are then
+    dropped (``keep``). A group has about d / _BLOCK_GROUPS nodes, so its
+    arrays hold about a quarter of the values of all the blocks."""
+    _, packed, swapped, keep = tables
+    d = keep.shape[0]
+    width = 2 * d  # rows of the slots of each kind
+    size = 2 * width + 2
+    at_g, at_f = packed[1:, 1:], packed[np.ix_(swapped, swapped)]
+    at_s = packed[swapped, 1:]
+    eta = np.tile([-1.0, 1.0], d)
+    eta2 = np.multiply.outer(eta, eta)
+    diff, summ = slice(2, 2 + width), slice(2 + width, None)
+    cos_rows = np.arange(width) % 2 == 1
+    blocks = np.empty((d, size - 4, size - 4))
+    group = max(1, d // _BLOCK_GROUPS)
+    for first in range(0, d, group):
+        nodes = np.arange(first, min(first + group, d))
+        m, c, s = total[0], total[1 + 2 * nodes], total[2 + 2 * nodes]
+        plus, minus = m + c, m - c
+        yg = np.take(minus, at_g, axis=1)  # G Yg G' and F Yf F' up to the signs
+        yf = np.take(plus, at_f, axis=1)
+        sg = np.take(s, at_s, axis=1)  # F S G' up to the signs; G S F' is its transpose
+        B = np.empty((nodes.size, size, size))
+        # every term of the two diagonal blocks is symmetric, so they are
+        # exactly symmetric
+        dd = B[:, diff, diff]
+        np.multiply(yg, eta2, out=dd)
+        dd += yf
+        r = sg * eta
+        dd += r + r.transpose(0, 2, 1)
+        ss = B[:, summ, summ]
+        np.multiply(yf, eta2, out=ss)
+        ss += yg
+        r = sg * eta[:, None]
+        ss -= r + r.transpose(0, 2, 1)
+        ds = B[:, diff, summ]
+        np.multiply(yf, eta, out=ds)
+        ds -= yg * eta[:, None]
+        ds -= sg
+        ds += sg.transpose(0, 2, 1) * eta2
+        B[:, 0, 0], B[:, 1, 1] = minus[:, 0], plus[:, 0]
+        B[:, 0, 1] = B[:, 1, 0] = -s[:, 0]
+        B[:, 0, diff] = -(minus[:, 1 : width + 1] * eta + s[:, swapped])
+        B[:, 0, summ] = minus[:, 1 : width + 1] - eta * s[:, swapped]
+        B[:, 1, diff] = plus[:, swapped] + eta * s[:, 1 : width + 1]
+        B[:, 1, summ] = eta * plus[:, swapped] - s[:, 1 : width + 1]
+        # w = -1: the cos rows and columns of the differences with partners p < l
+        flip = np.where(cos_rows & (np.arange(width) // 2 < nodes[:, None]), -1.0, 1.0)
+        B[:, : 2 + width, diff] *= flip[:, None, :]
+        B[:, diff, 2:] *= flip[:, :, None]
+        B[:, summ, :2] = B[:, :2, summ].transpose(0, 2, 1)
+        B[:, summ, diff] = B[:, diff, summ].transpose(0, 2, 1)
+        B[:, diff, :2] = B[:, :2, diff].transpose(0, 2, 1)
+        for l, full in zip(nodes, B):
+            blocks[l] = full[keep[l]][:, keep[l]]
+    return blocks
 
 
 def _residual_rows(X, params, idx):
@@ -292,7 +443,7 @@ def sm_objective(phi, moments):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != moments.h_hat.shape:
         raise DomainError("phi does not match the moment dimension")
-    v = phi[_derivative_table(moments.d)[0]]
+    v = phi[_node_coords(moments.d)]
     quad = float(np.sum(v * np.matmul(moments.blocks, v[:, :, None])[:, :, 0]))
     return 0.5 * quad - float(phi @ moments.h_hat)
 

@@ -243,29 +243,20 @@ def suff_stats_batch(X):
 
 
 @functools.lru_cache(maxsize=32)
-def _derivative_table(d):
-    """Derivatives of the sufficient statistics as a signed gather of them.
-
-    Returns (idx, src, sign), each (d, 4d - 2): row l lists the coordinates
-    that depend on x_l, so that dS[:, idx[l]] / dx_l = sign[l] * S[:, src[l]]
-    for statistics S of shape (n, 2d^2). Every such coordinate is half of a
-    (cos u, sin u) pair with du/dx_l = w = +-1 (-1 only for x_k in x_j - x_k),
-    whose derivatives are (-w sin u, w cos u). The arrays are read-only and
-    cached by d.
-    """
+def _node_coords(d):
+    """Coordinates of the statistics that depend on each angle, as a
+    read-only (d, 4d - 2) array cached by d. Row l holds node l's 2d - 1
+    slots, each the (cos u, sin u) pair of one angle u that x_l enters: its
+    marginal (u = x_l), then the differences x_j - x_k of its pairs, then
+    their sums, partners in increasing order."""
     nodes = np.arange(d)
     jj, kk = _edge_index_arrays(d)
     rank = np.zeros((d, d), dtype=int)
     rank[jj, kk] = rank[kk, jj] = np.arange(jj.size)
     partner = np.arange(d - 1) + (np.arange(d - 1) >= nodes[:, None])  # (d, d - 1)
     start = 2 * d + 4 * rank[nodes[:, None], partner]
-    cos_at = np.hstack([2 * nodes[:, None], start, start + 2])  # (d, 2d - 1) pairs
-    w = np.hstack([np.ones((d, 1)), np.where(nodes[:, None] < partner, 1.0, -1.0),
-                   np.ones((d, d - 1))])
-    idx = np.stack([cos_at, cos_at + 1], axis=2).reshape(d, -1)
-    src = np.stack([cos_at + 1, cos_at], axis=2).reshape(d, -1)
-    sign = np.stack([-w, w], axis=2).reshape(d, -1)
-    return _read_only(idx, src, sign)
+    cos_at = np.hstack([2 * nodes[:, None], start, start + 2])  # (d, 2d - 1) slots
+    return _read_only(np.stack([cos_at, cos_at + 1], axis=2).reshape(d, -1))[0]
 
 
 def _conditional_coefficients(params):

@@ -1,5 +1,13 @@
 """Per-sample derivatives of the sufficient statistics, for the tests.
 
+``_derivative_table`` is the package's former derivative table, kept verbatim:
+the coordinates of each node's derivative rows (which the package keeps as
+``model._node_coords``) and the signed gather of the statistics that gives
+those rows. ``accumulate_moments`` is the package's former walk over the data,
+kept verbatim as the oracle of the walk that replaced it: per 256-row chunk,
+the statistics, each node's derivative rows as their signed gather and the
+rows' Gram block, with the chunk sums pairwise reduced.
+
 ``jacobian_D`` and ``gamma_H_of_sample`` give the dense per-sample definition
 of the score-matching moments, Gamma(x) = D D^T and H(x) = [S1, 2 S2], and
 ``gamma_hat`` mirrors the package's lower triangle of Gamma_hat on every
@@ -11,15 +19,80 @@ as an argument), the oracles' factored block: a scatter onto both triangles,
 of which the package now writes the lower one alone.
 ``_h_rows`` and ``_stat_chunks`` are the chunk helpers the former moment and
 sandwich routines (kept as oracles) were written with. All of them are built
-from the package's derivative table and statistics, so the finite-difference
-tests on ``jacobian_D`` check that table.
+from the table above and the package's statistics, so the finite-difference
+tests on ``jacobian_D`` check that table, and ``test_walk_oracle`` checks
+its coordinates against the package's.
 """
+
+import functools
 
 import numpy as np
 
-from torusgraphs.estimation import _CHUNK
+from torusgraphs.estimation import ScoreMatchingMoments, _pairwise_reduce
 from torusgraphs.exceptions import DomainError
-from torusgraphs.model import _derivative_table, param_dim, suff_stats_batch
+from torusgraphs.model import _edge_index_arrays, _read_only, param_dim, suff_stats_batch
+
+_CHUNK = 256
+
+
+@functools.lru_cache(maxsize=32)
+def _derivative_table(d):
+    """Derivatives of the sufficient statistics as a signed gather of them.
+
+    Returns (idx, src, sign), each (d, 4d - 2): row l lists the coordinates
+    that depend on x_l, so that dS[:, idx[l]] / dx_l = sign[l] * S[:, src[l]]
+    for statistics S of shape (n, 2d^2). Every such coordinate is half of a
+    (cos u, sin u) pair with du/dx_l = w = +-1 (-1 only for x_k in x_j - x_k),
+    whose derivatives are (-w sin u, w cos u). The arrays are read-only and
+    cached by d.
+    """
+    nodes = np.arange(d)
+    jj, kk = _edge_index_arrays(d)
+    rank = np.zeros((d, d), dtype=int)
+    rank[jj, kk] = rank[kk, jj] = np.arange(jj.size)
+    partner = np.arange(d - 1) + (np.arange(d - 1) >= nodes[:, None])  # (d, d - 1)
+    start = 2 * d + 4 * rank[nodes[:, None], partner]
+    cos_at = np.hstack([2 * nodes[:, None], start, start + 2])  # (d, 2d - 1) pairs
+    w = np.hstack([np.ones((d, 1)), np.where(nodes[:, None] < partner, 1.0, -1.0),
+                   np.ones((d, d - 1))])
+    idx = np.stack([cos_at, cos_at + 1], axis=2).reshape(d, -1)
+    src = np.stack([cos_at + 1, cos_at], axis=2).reshape(d, -1)
+    sign = np.stack([-w, w], axis=2).reshape(d, -1)
+    return _read_only(idx, src, sign)
+
+
+def accumulate_moments(data):
+    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix in one
+    pass of 256-row chunks: the statistics S, then each node's derivative rows
+    A_l = dS[:, coords_l]/dx_l (a signed gather of S) and their Gram block
+    A_l' A_l. Chunk sums are pairwise reduced as they are made (deterministic,
+    order-stable to ~1e-10 for large N*d); no 2d^2-square array is made."""
+    X = np.atleast_2d(np.asarray(data, dtype=float))
+    n, d = X.shape
+    if n < 1:
+        raise DomainError("need at least one sample")
+    _, src, sign = _derivative_table(d)
+    h_parts = []
+
+    def grams():
+        for start in range(0, n, _CHUNK):
+            S = suff_stats_batch(X[start : start + _CHUNK])
+            g = np.empty((d, src.shape[1], src.shape[1]))
+            for l in range(d):
+                A = S[:, src[l]]
+                A *= sign[l]  # dS[:, coords_l] / dx_l, all rows of the chunk
+                g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
+            h = S.sum(axis=0)
+            h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
+            h_parts.append(h)
+            del S, A
+            yield g
+            del g  # no chunk array stays alive while the next chunk is made
+
+    blocks = _pairwise_reduce(grams())
+    blocks /= n
+    h = _pairwise_reduce(h_parts) / n
+    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
 
 
 def jacobian_D(x):

@@ -21,6 +21,7 @@ from torusgraphs.model import Family, TorusGraphParams, coupling_slice
 from torusgraphs.simulation import gen_chain
 
 from test_cg_oracle import tree_angles
+from test_walk_oracle import _count_walks
 
 
 @pytest.fixture
@@ -207,23 +208,12 @@ class TestRegionAndGof:
 
     def test_gof_computes_no_statistics(self, tmp_path, chain_csv, monkeypatch):
         # the battery reads only the model's parameters; no moments are taken
-        import torusgraphs.estimation
-        import torusgraphs.model
-
         data, _ = chain_csv
         model = tmp_path / "m.json"
         assert main(["fit", str(data), "--out", str(model)]) == 0
-        calls = []
-        inner = torusgraphs.model.suff_stats_batch
-
-        def counted(x):
-            calls.append(len(x))
-            return inner(x)
-
-        for module in (torusgraphs.model, torusgraphs.estimation):
-            monkeypatch.setattr(module, "suff_stats_batch", counted)
+        walks = _count_walks(monkeypatch)
         assert main(["gof", str(data), "--model", str(model), "--n-synth", "200"]) == 0
-        assert calls == []
+        assert walks == []
 
 
 class TestBench:

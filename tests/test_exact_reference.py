@@ -29,7 +29,7 @@ import pytest
 
 from torusgraphs.estimation import accumulate_moments, fit_closed_form
 from torusgraphs.inference import asymptotic_cov
-from torusgraphs.model import Family, _derivative_table, suff_stats_batch
+from torusgraphs.model import Family, _node_coords, suff_stats_batch
 
 from test_dense_oracle import coupled_sample, dense_cov, dense_moments
 
@@ -83,10 +83,10 @@ def reference_h(X):
 
 def reference_moments(X):
     """Node blocks (d, 4d - 2, 4d - 2) on the coordinates of
-    ``_derivative_table(d)[0]``, and H_hat (2d^2,), in long double."""
+    ``_node_coords(d)``, and H_hat (2d^2,), in long double."""
     D = reference_jacobian(X)
     n, _, d = D.shape
-    idx = _derivative_table(d)[0]
+    idx = _node_coords(d)
     blocks = np.stack([D[:, idx[l], l].T @ D[:, idx[l], l] for l in range(d)]) / n
     return blocks, reference_h(X).sum(axis=0) / n
 

@@ -48,11 +48,11 @@ from torusgraphs.estimation import (
 from torusgraphs.exceptions import DomainError
 from torusgraphs.inference import asymptotic_cov, bootstrap_null_test
 from torusgraphs.io import save_samples_csv
-from torusgraphs.model import Family, TorusGraphParams, _derivative_table, edge_list, param_dim
+from torusgraphs.model import Family, TorusGraphParams, edge_list, param_dim
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
-from derivative_oracle import _h_rows, _stat_chunks, gamma_hat
+from derivative_oracle import _derivative_table, _h_rows, _stat_chunks, gamma_hat
 
 ATOL = 1e-12
 

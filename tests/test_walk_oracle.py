@@ -1,22 +1,21 @@
-"""The moments' walk and the closed-form residual rows against the two passes
+"""The moments' walk and the closed-form residual rows against the passes
 they replace.
 
-``accumulate_moments`` and ``asymptotic_cov`` below are the package's former
-routines, kept verbatim as the oracle except that the covariance record
-carries the moments it was solved with and the second pass is named
-``walk_residual_rows``. The oracle reads the data twice, once for the Gram
-blocks and once for the sandwich residual rows, and recomputes the statistics
-and the derivative rows on the second pass. The package makes the derivative
-rows in the moments' walk alone (``estimation.accumulate_moments``) and the
-residual rows in closed form from the model score
-(``estimation._residual_rows``): the moments and the position map must equal
-the oracle's bit for bit, the residual rows and the factor agree with it to
-1e-12 abs, and the CLI `test` and `region-test` must compute the statistics
-once per data row.
+``asymptotic_cov`` below is the package's former routine, kept verbatim as the
+oracle except that the covariance record carries the moments it was solved
+with and the second pass is named ``walk_residual_rows``. With the former
+walk (``derivative_oracle.accumulate_moments``) it reads the data twice, once
+for the Gram blocks and once for the sandwich residual rows, and computes the
+statistics and the derivative rows on both passes. The package makes neither:
+its moments come from the products of (1, cos x, sin x) in one walk
+(``estimation.accumulate_moments``) and its residual rows in closed form from
+the model score (``estimation._residual_rows``). The moments, the residual
+rows and the factor must agree with the oracle's to 1e-12 abs and the position
+map exactly, and the CLI `test` and `region-test` must walk each data row
+once.
 """
 
 import json
-import math
 import sys
 
 import numpy as np
@@ -28,9 +27,7 @@ from hypothesis import strategies as st
 from torusgraphs import estimation, inference
 from torusgraphs.cli import main
 from torusgraphs.estimation import (
-    ScoreMatchingMoments,
     _checked_cholesky,
-    _pairwise_reduce,
     fit_closed_form,
 )
 from torusgraphs.exceptions import DomainError
@@ -40,7 +37,7 @@ from torusgraphs.model import (
     Family,
     TorusGraphParams,
     _canonical_pairs,
-    _derivative_table,
+    _node_coords,
     coupling_coords,
     edge_list,
     family_mask,
@@ -49,42 +46,13 @@ from torusgraphs.model import (
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
-from derivative_oracle import _h_rows, _stat_chunks, gamma_block
-
-
-def accumulate_moments(data):
-    """Average Gamma(x) and H(x) over the rows of an (N, d) angle matrix.
-
-    Per chunk of rows, each node's Gram block A_l' A_l is formed; the chunks'
-    (d, 4d - 2, 4d - 2) block stacks are combined by a pairwise reduction as
-    they are made, so the result is deterministic and order-stable to ~1e-10
-    even for large N*d. No 2d^2-square array is made.
-    """
-    X = np.atleast_2d(np.asarray(data, dtype=float))
-    n, d = X.shape
-    if n < 1:
-        raise DomainError("need at least one sample")
-    _, src, sign = _derivative_table(d)
-    h_parts = []
-
-    def grams():
-        for S in _stat_chunks(X):
-            g = np.empty((d, src.shape[1], src.shape[1]))
-            for l in range(d):
-                A = S[:, src[l]]
-                A *= sign[l]  # dS[:, coords_l] / dx_l, all rows of the chunk
-                g[l] = A.T @ A  # a symmetric rank-k product: exactly symmetric
-            h = S.sum(axis=0)
-            h[2 * d :] *= 2.0  # H(x) = [S1, 2 S2]
-            h_parts.append(h)
-            del S, A
-            yield g
-            del g  # no chunk array stays alive while the next chunk is made
-
-    blocks = _pairwise_reduce(grams())
-    blocks /= n
-    h = _pairwise_reduce(h_parts) / n
-    return ScoreMatchingMoments(blocks=blocks, h_hat=h, n=n)
+from derivative_oracle import (
+    _derivative_table,
+    _h_rows,
+    _stat_chunks,
+    accumulate_moments,
+    gamma_block,
+)
 
 
 def asymptotic_cov(data, params, moments=None):
@@ -148,14 +116,13 @@ def coupled_sample(d, n, seed):
 
 def assert_moments_equal(a, b):
     assert a.n == b.n
-    assert np.array_equal(a.blocks, b.blocks)
-    assert np.array_equal(a.h_hat, b.h_hat)
+    np.testing.assert_allclose(a.blocks, b.blocks, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.h_hat, b.h_hat, rtol=0, atol=1e-12)
 
 
 def assert_cov_equal(X, fit, given_moments):
-    """The package and the two-pass oracle agree, exactly but for the
-    factor's rounding, with the fit's moments passed in or accumulated on the
-    way."""
+    """The package and the two-pass oracle agree but for rounding, with the
+    fit's moments passed in or accumulated on the way."""
     moments = fit.moments if given_moments else None
     cov = inference.asymptotic_cov(X, fit.params, moments=moments)
     ref = asymptotic_cov(X, fit.params, moments=moments)
@@ -195,6 +162,72 @@ def test_cov_matches_two_pass_property(data):
     X = coupled_sample(d, n, seed)
     fit = fit_closed_form(X, family=family, zero_edges=zero_edges or None)
     assert_cov_equal(X, fit, given_moments)
+
+
+def test_oracle_coordinates_match_package():
+    for d in range(1, 9):
+        assert np.array_equal(_derivative_table(d)[0], _node_coords(d))
+
+
+def walk_chunks(X, monkeypatch):
+    """The package's moments of X and the row count of each chunk its walk
+    made."""
+    sizes = []
+    inner = estimation._chunk_products
+
+    def recorded(x, *args):
+        sizes.append(len(x))
+        return inner(x, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(estimation, "_chunk_products", recorded)
+        return estimation.accumulate_moments(X), sizes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 8, 10, 12, 13, 24, 48])
+def test_walk_chunks_within_statistics_chunk(d, monkeypatch):
+    # each chunk's products, (2d + 1)(d + 1) per row, fit in the 256 rows of
+    # 2d^2 statistics that the oracle's chunk holds. A chunk is the largest
+    # that does, or else the largest whose matrix product, 2d + 1 times that
+    # per row, has under 2^19 multiply-adds (one OpenBLAS thread), if that is
+    # 64 rows or more
+    X = np.random.default_rng(540 + d).uniform(0.0, 2 * np.pi, size=(600, d))
+    sizes = walk_chunks(X, monkeypatch)[1]
+    rows, per_row = sizes[0], (2 * d + 1) * (d + 1)
+    assert sum(sizes) == 600 and all(size == rows for size in sizes[:-1])
+    assert rows * per_row <= 256 * param_dim(d)
+    if (rows + 1) * per_row <= 256 * param_dim(d):
+        product = (2 * d + 1) * per_row
+        assert 64 <= rows and rows * product < 2**19 <= (rows + 1) * product
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 10])
+def test_walk_matches_oracle_at_chunk_edges(d, monkeypatch):
+    rng = np.random.default_rng(550 + d)
+    rows = walk_chunks(rng.uniform(0.0, 2 * np.pi, size=(600, d)), monkeypatch)[1][0]
+    for n in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1, 255, 256, 257}):
+        X = rng.uniform(0.0, 2 * np.pi, size=(n, d))
+        moments, sizes = walk_chunks(X, monkeypatch)
+        assert len(sizes) == -(-n // rows)
+        assert_moments_equal(moments, accumulate_moments(X))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_walk_matches_oracle_property(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    n = data.draw(st.one_of(st.integers(1, 600), st.sampled_from([255, 256, 257])), label="n")
+    # angles as a CSV may give them: in [0, 2pi), in [-pi, pi) or unreduced
+    scale = data.draw(st.sampled_from([np.pi, 2 * np.pi, 50.0]), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.uniform(-scale, scale, size=(n, d))
+    assert_moments_equal(estimation.accumulate_moments(X), accumulate_moments(X))
+
+
+def test_walk_matches_oracle_d48():
+    # 300 rows cross the package's and the oracle's chunk boundaries
+    X = np.random.default_rng(560).uniform(0.0, 2 * np.pi, size=(300, 48))
+    assert_moments_equal(estimation.accumulate_moments(X), accumulate_moments(X))
 
 
 def random_params(d, family, zero_edges, rng):
@@ -244,21 +277,21 @@ def test_empty_data_rejected():
             inference.asymptotic_cov(np.zeros((0, 2)), params, moments=given)
 
 
-def _count_stats(monkeypatch):
-    """Count every call of suff_stats_batch in the package, wherever the name
-    is bound."""
-    calls = [0]
-    inner = estimation.suff_stats_batch
+def _count_walks(monkeypatch):
+    """Record the row count of every call of accumulate_moments in the
+    package, wherever the name is bound."""
+    rows = []
+    inner = estimation.accumulate_moments
 
-    def counted(X):
-        calls[0] += 1
-        return inner(X)
+    def counted(data):
+        rows.append(len(data))
+        return inner(data)
 
     for name, module in list(sys.modules.items()):
         if name == "torusgraphs" or name.startswith("torusgraphs."):
-            if hasattr(module, "suff_stats_batch"):
-                monkeypatch.setattr(module, "suff_stats_batch", counted)
-    return calls
+            if hasattr(module, "accumulate_moments"):
+                monkeypatch.setattr(module, "accumulate_moments", counted)
+    return rows
 
 
 @pytest.mark.parametrize("n", [255, 600])
@@ -269,14 +302,14 @@ def test_cli_reads_statistics_once(tmp_path, monkeypatch, command, n):
     save_samples_csv(data, X)
     save_model(model, fit_closed_form(X).params)
     groups.write_text(json.dumps({"schema_version": 1, "groups": {"a": [0, 1], "b": [2, 3]}}))
-    calls = _count_stats(monkeypatch)
+    walks = _count_walks(monkeypatch)
     argv = [command, str(data), "--model", str(model)]
     if command == "region-test":
         argv += ["--groups", str(groups)]
     else:
         argv += ["--out", str(tmp_path / "g.json")]
     assert main(argv) == 0
-    assert calls[0] == math.ceil(n / estimation._CHUNK)
+    assert walks == [n]
 
 
 def test_region_test_checks_groups_before_the_walk(tmp_path, monkeypatch, capsys):
@@ -285,7 +318,7 @@ def test_region_test_checks_groups_before_the_walk(tmp_path, monkeypatch, capsys
     save_samples_csv(data, X)
     save_model(model, fit_closed_form(X).params)
     groups.write_text(json.dumps({"schema_version": 1, "groups": {"a": [0], "b": [7]}}))
-    calls = _count_stats(monkeypatch)
+    walks = _count_walks(monkeypatch)
     assert main(["region-test", str(data), "--model", str(model), "--groups", str(groups)]) == 2
     assert "lists channel 7" in capsys.readouterr().err
-    assert calls[0] == 0
+    assert walks == []
