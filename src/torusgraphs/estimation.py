@@ -24,9 +24,13 @@ blocks (:class:`GammaOperator`), O(d^3). The closed-form fit solves
 Gamma_hat phi = H_hat by conjugate gradients through those products, with a
 condition guard read off the Lanczos tridiagonal that CG's coefficients form,
 and the group lasso works through products alone. The only dense Gamma the
-package builds is the lower triangle of the active block that the sandwich
-covariance factors, written into a buffer whose upper half is never mapped
-and factored there. The sandwich's residual rows Gamma(x) phi - H(x) need no
+package builds is the sandwich covariance's, and not as one block: the
+active coordinates are split by one level of nested dissection over the
+nodes (:func:`_bisection_order`), Gamma_hat is zero between two of the three
+sets, and its Cholesky factor is made by blocks
+(:class:`BisectionCholesky`): three lower triangles, each written into a
+buffer whose upper half is never mapped and factored there, and two dense
+rectangles. The sandwich's residual rows Gamma(x) phi - H(x) need no
 derivative rows either: they follow in closed form from the model score
 (:func:`_residual_rows`).
 
@@ -66,7 +70,7 @@ _ONE_THREAD_PRODUCT = 2**19
 _MIN_ONE_THREAD_ROWS = 64
 _BLOCK_GROUPS = 8  # the node blocks are assembled in about this many groups of nodes
 _RESIDUAL_CHUNK = 64  # its pair temporaries stay within _CHUNK rows of statistics
-_NORM_PANEL = 32
+_SUM_PANEL = 64  # columns of a block read at once for the sandwich's 1-norm
 _COND_LIMIT = 1e12
 _CG_RTOL = 1e-14
 _LASSO_MAX_ITER = 20000
@@ -109,8 +113,15 @@ class ScoreMatchingMoments:
     products of (1, cos x, sin x) without forming A_l. Gamma_hat is the sum of
     the blocks placed on those coordinates; it is applied by :meth:`gamma_dot`,
     applied on a coordinate subset by :meth:`gamma_operator`, and its lower
-    triangle on one is written by :meth:`gamma_lower`. ``h_hat`` is
-    (2d^2,), and ``n`` the sample count the moments average over.
+    triangle on one is written by :meth:`gamma_lower`, and its rectangle on
+    two by :meth:`gamma_rectangle`. ``h_hat`` is (2d^2,), and ``n`` the sample
+    count the moments average over.
+
+    The two arrays are kept, not copied, where they are float64 arrays
+    already, as :func:`accumulate_moments` and :func:`_pool` make them, and
+    are made read-only. So an array a caller passes in becomes the moments'
+    own: it can no longer be written through that name, and must not be
+    written through any other view of it.
     """
 
     blocks: np.ndarray
@@ -118,8 +129,8 @@ class ScoreMatchingMoments:
     n: int
 
     def __post_init__(self):
-        b = np.array(self.blocks, dtype=float)
-        h = np.array(self.h_hat, dtype=float)
+        b = np.asarray(self.blocks, dtype=float)
+        h = np.asarray(self.h_hat, dtype=float)
         d = b.shape[0] if b.ndim == 3 else 0
         if d < 1 or b.shape[1:] != (4 * d - 2, 4 * d - 2) or h.shape != (param_dim(d),):
             raise DomainError("inconsistent moment shapes")
@@ -160,20 +171,35 @@ class ScoreMatchingMoments:
     def gamma_lower(self, coords):
         """Gamma_hat restricted to ``coords`` (distinct coordinates), written
         onto the lower triangle of a new Fortran-ordered array whose strict
-        upper half is never written (:func:`_lower_buffer`), for
-        :func:`_checked_cholesky`. The blocks are added in node order, each
-        onto the cells of its coordinates' lower triangle, so a cell holds
-        the same sum as in a scatter of both triangles."""
+        upper half is never written (:func:`_lower_buffer`), to be factored
+        where it lies. The blocks are added in node order, each onto the
+        cells of its coordinates' lower triangle, so a cell holds the same
+        sum as in a scatter of both triangles."""
         coords = np.asarray(coords, dtype=int)
-        m = coords.size
-        G = _lower_buffer(m)
-        cells = G.reshape(-1, order="F")  # a view: cell (i, j) is i + m j
-        table = _positions(self.h_hat.size, coords)[_node_coords(self.d)]
-        for pos, B in zip(table, self.blocks):
-            lower = (pos[:, None] >= pos) & (pos >= 0)
-            # one node's cells are distinct, so the buffered add adds each entry once
-            cells[(pos[:, None] + m * pos)[lower]] += B[lower]
+        G = _lower_buffer(coords.size)
+        self._add_blocks(G, coords, coords, lower=True)
         return G
+
+    def gamma_rectangle(self, rows, cols):
+        """Gamma_hat on the coordinates ``rows`` by ``cols`` (each distinct),
+        as a new Fortran-ordered array, the blocks added in node order."""
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        G = np.zeros((rows.size, cols.size), order="F")
+        self._add_blocks(G, rows, cols, lower=False)
+        return G
+
+    def _add_blocks(self, G, rows, cols, lower):
+        """Add each node's block, in node order, onto the cells of the
+        Fortran-ordered G on ``rows`` by ``cols``: those of its lower triangle
+        alone with ``lower``."""
+        cells = G.reshape(-1, order="F")  # a view: cell (i, j) is i + |rows| j
+        table = _node_coords(self.d)
+        at_row = _positions(self.h_hat.size, rows)[table]
+        at_col = _positions(self.h_hat.size, cols)[table]
+        for r, c, B in zip(at_row, at_col, self.blocks):
+            kept = ((r[:, None] >= c) if lower else (r[:, None] >= 0)) & (c >= 0)
+            # one node's cells are distinct, so the buffered add adds each entry once
+            cells[(r[:, None] + rows.size * c)[kept]] += B[kept]
 
 
 def _lower_buffer(m):
@@ -409,8 +435,9 @@ def _node_blocks(total, tables):
 
 def _residual_rows(X, params, idx):
     """Residual rows r(x) = Gamma(x) phi - H(x) of the (N, d) angles X on the
-    coordinates ``idx``, (N, |idx|), in closed form: Gamma(x) phi = D(x) g for
-    the model score g = D(x)' phi, read off the conditional table. A
+    coordinates ``idx``, in their order, as a new Fortran-ordered (N, |idx|)
+    array, in closed form: Gamma(x) phi = D(x) g for the model score
+    g = D(x)' phi, read off the conditional table. A
     (cos u, sin u) pair of statistics has derivative (-sin u, cos u) du/dx,
     so its entries of r are those of (i u' - c) e^(iu): u' = g_l and c = 1 for
     node l's marginal, u' = g_j -+ g_k and c = 2 for u = x_j -+ x_k, whose
@@ -419,7 +446,7 @@ def _residual_rows(X, params, idx):
     rows, bias = _conditional_coefficients(params)
     rows, bias = rows.reshape(2 * d, 2 * d).T, bias.ravel()
     jj, kk = _edge_index_arrays(d)
-    R = np.empty((n, idx.size))
+    R = np.empty((n, idx.size), order="F")
     for start in range(0, n, _RESIDUAL_CHUNK):
         x = X[start : start + _RESIDUAL_CHUNK]
         c, s = np.cos(x), np.sin(x)
@@ -432,8 +459,7 @@ def _residual_rows(X, params, idx):
         zj, zk = z[:, jj], z[:, kk]
         r[:, d::2] = (1j * (g[:, jj] - g[:, kk]) - 2) * (zj * zk.conj())
         r[:, d + 1 :: 2] = (1j * (g[:, jj] + g[:, kk]) - 2) * (zj * zk)
-        # the indices are in range; mode="raise" would write through a buffer
-        np.take(r.view(float), idx, axis=1, out=R[start : start + len(x)], mode="clip")
+        R[start : start + len(x)] = r.view(float)[:, idx]
     return R
 
 
@@ -476,49 +502,183 @@ def _equation_residual(moments, phi, idx):
     return float(np.max(np.abs(r))) if idx.size else 0.0
 
 
-def _checked_cholesky(G, n, m_total):
-    """Cholesky factor (for scipy.linalg.cho_solve) of a moment block, with a
-    1-norm condition estimate guard.
+def _bisection_order(d, coords):
+    """``coords`` (distinct coordinates) in the column order of the
+    node-bisection factor (:func:`_bisection_cholesky`), and the sizes of its
+    sets A, B and S, each kept in the order of ``coords``. With h = ceil(d/2),
+    A holds the marginals of nodes 0..h-1 and the pairs among them, B the
+    same of nodes h..d-1, and S the pairs across. A node block touches A or
+    B, never both, so Gamma_hat is exactly zero between A and B: one level of
+    nested dissection over the nodes (George 1973, SIAM J. Numer. Anal. 10)."""
+    h = (d + 1) // 2
+    jj, kk = _edge_index_arrays(d)
+    pair_set = np.where(kk < h, 0, np.where(jj >= h, 1, 2))
+    sets = np.concatenate([np.repeat(np.arange(d) >= h, 2), np.repeat(pair_set, 4)])[coords]
+    return coords[np.argsort(sets, kind="stable")], np.bincount(sets, minlength=3)
 
-    One triangle is read and factored where it lies, overwriting G: the
-    lower triangle of G when G is Fortran-ordered, as
-    :meth:`ScoreMatchingMoments.gamma_lower` writes it, and otherwise that
-    of G's transpose, the Fortran-ordered view of a C-ordered exactly
-    symmetric block. The guard's 1-norm is the symmetric matrix's, read off
-    that triangle (:func:`_symmetric_norm1`).
+
+@dataclass(frozen=True)
+class BisectionCholesky:
+    """Cholesky factor L of Gamma_hat on coordinates in the order of
+    :func:`_bisection_order`, held by blocks:
+
+        L = [[L_A, 0, 0], [0, L_B, 0], [X_A, X_B, L_S]],
+
+    L_A L_A' = G_AA, L_B L_B' = G_BB, X_A = G_SA L_A^-T, X_B = G_SB L_B^-T and
+    L_S L_S' = G_SS - X_A X_A' - X_B X_B'. Each triangle lies in the lower half
+    of its own buffer (:func:`_lower_buffer`); X_A and X_B are dense and
+    Fortran-ordered. From d = 2 no block has an order above d^2, half of
+    2d^2.
     """
-    L = G if G.flags.f_contiguous else G.T
-    anorm = _symmetric_norm1(L)
-    try:
-        cho = scipy.linalg.cho_factor(L, lower=True, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise _singular(n, m_total) from exc
-    if G.size == 0:
-        return cho
-    rcond, info = scipy.linalg.lapack.dpocon(cho[0], anorm, uplo="L")
-    if info != 0 or rcond <= 0 or 1.0 / rcond > _COND_LIMIT:
-        raise _ill_conditioned(np.inf if rcond <= 0 else 1.0 / rcond, n, m_total)
-    return cho
+
+    la: np.ndarray
+    lb: np.ndarray
+    ls: np.ndarray
+    xa: np.ndarray
+    xb: np.ndarray
+
+    def solve(self, R):
+        """R Gamma_hat^-1 written into R, a Fortran-ordered (rows, m) array
+        whose columns are in L's order: Y L' = R, then Z L = Y, by blocks of
+        columns."""
+        a, b = self.la.shape[0], self.lb.shape[0]
+        ra, rb, rs = R[:, :a], R[:, a : a + b], R[:, a + b :]
+        _triangular(self.la, ra, 1)
+        _triangular(self.lb, rb, 1)
+        _subtract_product(ra, self.xa, rs, 1)
+        _subtract_product(rb, self.xb, rs, 1)
+        _triangular(self.ls, rs, 1)
+        _triangular(self.ls, rs, 0)
+        _subtract_product(rs, self.xa, ra, 0)
+        _subtract_product(rs, self.xb, rb, 0)
+        _triangular(self.la, ra, 0)
+        _triangular(self.lb, rb, 0)
 
 
-def _symmetric_norm1(L):
-    """1-norm of the symmetric matrix whose lower triangle is that of the
-    square L, read without touching L above its diagonal but for a
-    _NORM_PANEL-wide band: column j sums |L[j:, j]| and |L[j, :j]|. L is read
-    in panels of _NORM_PANEL columns through one m x _NORM_PANEL work
-    array."""
-    m = L.shape[0]
-    sums = np.zeros(m)
-    work = np.empty((m, _NORM_PANEL), order="F")
-    above = np.triu(np.ones((_NORM_PANEL, _NORM_PANEL), dtype=bool), 1)
-    for a in range(0, m, _NORM_PANEL):
-        w = min(_NORM_PANEL, m - a)
-        panel = np.abs(L[a:, a : a + w], out=work[: m - a, :w])
-        panel[:w][above[:w, :w]] = 0.0
-        sums[a : a + w] += panel.sum(axis=0)  # the columns, diagonal included
-        np.fill_diagonal(panel, 0.0)
-        sums[a:] += panel.sum(axis=1)  # the rows left of the diagonal
-    return float(sums.max()) if m else 0.0
+def _triangular(L, Y, trans):
+    """Y L^-T (``trans`` 1) or Y L^-1 (0) into Y, for L the lower triangle of
+    its buffer; no call on an empty block."""
+    if Y.size:
+        scipy.linalg.blas.dtrsm(1.0, L, Y, side=1, lower=1, trans_a=trans, overwrite_b=1)
+
+
+def _subtract_product(Y, X, C, trans):
+    """C - Y X' (``trans`` 1) or C - Y X (0) into C; no call on an empty block."""
+    if Y.size and C.size:
+        scipy.linalg.blas.dgemm(-1.0, Y, X, beta=1.0, c=C, trans_b=trans, overwrite_c=1)
+
+
+def _cholesky_in_place(L, n, m_total):
+    """L's lower triangle overwritten by its Cholesky factor; the upper half
+    is neither read nor written (``clean=0``). No call on an empty block."""
+    if L.size and scipy.linalg.lapack.dpotrf(L, lower=1, clean=0, overwrite_a=1)[1] != 0:
+        raise _singular(n, m_total)
+
+
+def _bisection_cholesky(moments, order, sizes, m_total):
+    """The :class:`BisectionCholesky` of Gamma_hat on the coordinates
+    ``order``, split into sets A, B and S of ``sizes`` by
+    :func:`_bisection_order`, and its 1-norm condition estimate.
+
+    The triangles G_AA, G_BB and G_SS are written by
+    :meth:`ScoreMatchingMoments.gamma_lower` and the rectangles G_SA and G_SB
+    by :meth:`ScoreMatchingMoments.gamma_rectangle`; each is factored where
+    it lies. The 1-norm of Gamma_hat is taken from the blocks before
+    factoring (:func:`_block_norm1`) and ||Gamma_hat^-1||_1 estimated through
+    solves with the factor (:func:`_inverse_norm1`), so the guard is the one
+    LAPACK's dpocon applies to a dense factor. Raises SingularMomentsError on
+    a block that is not positive definite or a condition estimate above
+    1e12."""
+    n = moments.n
+    sets = np.split(order, np.cumsum(sizes)[:2])
+    la, lb, ls = (moments.gamma_lower(c) for c in sets)
+    xa, xb = (moments.gamma_rectangle(sets[2], c) for c in sets[:2])
+    anorm = _block_norm1(la, lb, ls, xa, xb)
+    for L, X in ((la, xa), (lb, xb)):
+        _cholesky_in_place(L, n, m_total)
+        _triangular(L, X, 1)
+        if X.size:
+            scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=ls, lower=1, overwrite_c=1)
+    _cholesky_in_place(ls, n, m_total)
+    factor = BisectionCholesky(la, lb, ls, xa, xb)
+    if not order.size:
+        return factor, 1.0
+
+    def solve(v):
+        y = np.array(v)[None, :]  # one row, so both Fortran- and C-ordered
+        factor.solve(y)
+        return y[0]
+
+    cond = anorm * _inverse_norm1(solve, order.size)
+    if not cond <= _COND_LIMIT:
+        raise _ill_conditioned(cond, n, m_total)
+    return factor, cond
+
+
+def _abs_sums(M, lower):
+    """Column and row sums of |M| for a Fortran-ordered M, or with ``lower``
+    of its lower triangle alone. M is read in panels of _SUM_PANEL columns
+    through one work array, and a triangle above its diagonal only within a
+    panel's top square, so no copy of M is made."""
+    rows, cols = M.shape
+    col_sums, row_sums = np.zeros(cols), np.zeros(rows)
+    work = np.empty((rows, _SUM_PANEL), order="F")
+    above = np.triu(np.ones((_SUM_PANEL, _SUM_PANEL), dtype=bool), 1)
+    for a in range(0, cols, _SUM_PANEL):
+        w = min(_SUM_PANEL, cols - a)
+        top = a if lower else 0
+        panel = np.abs(M[top:, a : a + w], out=work[: rows - top, :w])
+        if lower:
+            panel[:w][above[:w, :w]] = 0.0
+        col_sums[a : a + w] += panel.sum(axis=0)
+        row_sums[top:] += panel.sum(axis=1)
+    return col_sums, row_sums
+
+
+def _block_norm1(la, lb, ls, xa, xb):
+    """1-norm of the symmetric [[G_AA, 0, G_SA'], [0, G_BB, G_SB'], [G_SA,
+    G_SB, G_SS]] from the lower triangles la, lb, ls of its diagonal blocks
+    and the rectangles xa = G_SA and xb = G_SB, before any is factored. A
+    column of a symmetric matrix sums the column and the row of its lower
+    triangle, less the diagonal entry counted twice."""
+
+    def symmetric(L):
+        col_sums, row_sums = _abs_sums(L, lower=True)
+        return col_sums + row_sums - np.abs(np.diagonal(L))
+
+    sa_cols, sa_rows = _abs_sums(xa, lower=False)
+    sb_cols, sb_rows = _abs_sums(xb, lower=False)
+    sums = np.concatenate([symmetric(la) + sa_cols, symmetric(lb) + sb_cols,
+                           symmetric(ls) + sa_rows + sb_rows])
+    return float(sums.max()) if sums.size else 0.0
+
+
+def _inverse_norm1(solve, m):
+    """Estimate of ||G^-1||_1 for a symmetric G of order m >= 1, given
+    ``solve(v)`` = G^-1 v: Hager's method as refined by Higham (1988, ACM
+    TOMS 14), step for step the iteration of LAPACK's dlacn2 that dpocon
+    runs. G^-T = G^-1, so each product with G^-T is a solve too."""
+    y = solve(np.full(m, 1.0 / m))
+    if m == 1:
+        return abs(float(y[0]))
+    est = float(np.abs(y).sum())
+    signs = np.where(y >= 0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(solve(signs))))
+    for _ in range(4):  # the iterations 2 to 5 of dlacn2
+        unit = np.zeros(m)
+        unit[j] = 1.0
+        y = solve(unit)
+        old, est = est, float(np.abs(y).sum())
+        new_signs = np.where(y >= 0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= old:
+            break  # a repeated sign vector, or no growth
+        signs = new_signs
+        z = solve(signs)
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    alternating = (1.0 + np.arange(m) / (m - 1)) * np.where(np.arange(m) % 2, -1.0, 1.0)
+    return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3 * m))
 
 
 def _singular(n, m_total):

@@ -8,10 +8,12 @@ rows come in closed form from the model score D(x)' phi
 (:func:`torusgraphs.estimation._residual_rows`). Sigma is never formed. With R
 the (N, |active|) residual rows on the family's active coordinates, Sigma = F'F
 for the factor F = R Gamma^-1 / sqrt(N), and a test reads only the block
-F_c'F_c of the coordinates c it tests (:class:`SandwichCov`). Quadratic forms
-of coefficient blocks against that covariance give chi-squared statistics with
-one degree of freedom per tested coordinate: 4 for a full coupling block, 2 for
-its rotational or reflectional half, and 2|E| or 4|E| for groups of edges.
+F_c'F_c of the coordinates c it tests (:class:`SandwichCov`). Gamma is
+factored by node-bisection blocks (:func:`asymptotic_cov`), from d = 2 none of
+order above d^2. Quadratic forms of coefficient blocks against that covariance
+give chi-squared statistics with one degree of freedom per tested coordinate:
+4 for a full coupling block, 2 for its rotational or reflectional half, and
+2|E| or 4|E| for groups of edges.
 Every pair, one pair or one group is tested as one stack of blocks, with one
 batched product, solve and chi-squared call. The CLI and the benchmark harness
 score all pairs through :func:`edge_tests` and, for the pairwise phase-locking
@@ -22,14 +24,14 @@ baseline, :func:`plv_tests`. Multiple testing is corrected in one place,
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .circular import _rayleigh, bessel_ratio, chi2_sf, fisher_combine, ks_two_sample, wrap_angle
 from .estimation import (
     _CV_TOL,
     FitResult,
     ScoreMatchingMoments,
-    _checked_cholesky,
+    _bisection_cholesky,
+    _bisection_order,
     _cross_validate,
     _positions,
     _residual_rows,
@@ -62,9 +64,11 @@ _PLV_PAIRS = 256
 class SandwichCov:
     """Sandwich covariance Sigma of sqrt(N)(phi_hat - phi), held as a factor.
 
-    ``factor`` is the (N, |active|) matrix F with Sigma = F'F on the family's
-    active coordinates; ``position`` maps each of the 2d^2 coordinates to its
-    column of F, or -1 where the family masks it (Sigma is zero there).
+    ``factor`` is the (N, |active|) Fortran-ordered matrix F with
+    Sigma = F'F on the family's active coordinates, its columns in the order
+    of the node-bisection factor (:func:`asymptotic_cov`); ``position`` maps
+    each of the 2d^2 coordinates to its column of F, or -1 where the family
+    masks it (Sigma is zero there).
     ``moments`` are the score-matching moments Gamma was taken from.
     """
 
@@ -93,15 +97,20 @@ def asymptotic_cov(data, params, moments=None):
     (:func:`torusgraphs.estimation._residual_rows`), V_hat = R'R / N and
     Sigma = Gamma_hat^-1 V_hat Gamma_hat^-1 = F'F for the factor
     F = R Gamma_hat^-1 / sqrt(N), which is all that is formed. The moments, if
-    none are passed, are accumulated here. The lower triangle of the active
-    Gamma block is written from the moments' node blocks
-    (:meth:`ScoreMatchingMoments.gamma_lower`) into a buffer whose upper half
-    is never mapped, and factored there; the solve against R is written into R.
-    So the triangle and R are the only large arrays, and the triangle costs
-    half an m-square array. Tests read small blocks of Sigma through
+    none are passed, are accumulated here. The active coordinates are split
+    by one level of nested dissection over the nodes
+    (:func:`torusgraphs.estimation._bisection_order`): set A holds the
+    coordinates of the first ceil(d/2) nodes alone, B those of the others
+    alone, and S the pairs across. Gamma_hat is zero between A and B, so its
+    Cholesky factor is made by blocks, from d = 2 none of order above d^2
+    (:class:`torusgraphs.estimation.BisectionCholesky`): the three diagonal
+    blocks' lower triangles, each in a buffer whose upper half is never
+    mapped, and the two dense rectangles S x A and S x B. R is written with
+    its columns in that order, and the solve against it is written into R. Tests read small blocks of Sigma through
     :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
     coefficient vector. Raises SingularMomentsError, as the closed-form fit
-    does, on a singular active block or a condition estimate above 1e12.
+    does, on a block that is not positive definite or a 1-norm condition
+    estimate above 1e12.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
@@ -112,14 +121,12 @@ def asymptotic_cov(data, params, moments=None):
         raise DomainError("need at least one sample")
     if moments is None:
         moments = accumulate_moments(X)
-    idx = np.nonzero(params.active)[0]
-    R = _residual_rows(X, params, idx)
-    cho = _checked_cholesky(moments.gamma_lower(idx), moments.n, m)
-    # R' is Fortran-ordered, so the solve overwrites R with R Gamma^-1
-    scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
+    order, sizes = _bisection_order(d, np.nonzero(params.active)[0])
+    R = _residual_rows(X, params, order)
+    _bisection_cholesky(moments, order, sizes, m)[0].solve(R)
     R *= 1.0 / np.sqrt(n)
     R.flags.writeable = False
-    return SandwichCov(factor=R, position=_positions(m, idx), moments=moments)
+    return SandwichCov(factor=R, position=_positions(m, order), moments=moments)
 
 
 @dataclass(frozen=True)

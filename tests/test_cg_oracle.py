@@ -22,7 +22,6 @@ from torusgraphs.estimation import (
     GammaOperator,
     ScoreMatchingMoments,
     _active_indices,
-    _checked_cholesky,
     _equation_residual,
     accumulate_moments,
 )
@@ -32,6 +31,7 @@ from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
 from derivative_oracle import gamma_block
+from sandwich_oracle import _checked_cholesky
 
 ATOL = 1e-12
 RESIDUAL = 1e-10

@@ -7,8 +7,8 @@ dense 2d^2-square Gamma and the chunk matrices are tree-reduced. The package
 keeps one (4d - 2)-square Gram block per node instead; Gamma products, the
 blocks it assembles and the coefficients solved from them must agree with
 the oracle to 1e-12 absolute, and no package path may assemble the full
-Gamma_hat (a ``gamma_lower`` triangle of every coordinate) other than as the
-active block that a sandwich factors where it is written. The closed-form
+Gamma_hat (a ``gamma_lower`` triangle of every coordinate): from d = 2 on,
+the sandwich writes and factors it by node-bisection blocks. The closed-form
 fit and the group lasso assemble no block: their products with Gamma on the
 active coordinates go through the node blocks and must agree with the
 assembled block's to 1e-12 absolute, and the lasso's Lanczos step size with
@@ -21,7 +21,6 @@ lower triangle alone (``gamma_lower``), and its buffer must equal the lower
 triangle of the loop's block byte for byte, with zeros above the diagonal.
 """
 
-import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ from torusgraphs.estimation import (
     FitResult,
     ScoreMatchingMoments,
     _active_indices,
-    _checked_cholesky,
     _largest_eigenvalue,
     _pairwise_reduce,
     _positions,
@@ -53,6 +51,7 @@ from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
 from derivative_oracle import _derivative_table, _h_rows, _stat_chunks, gamma_hat
+from sandwich_oracle import _checked_cholesky
 
 ATOL = 1e-12
 
@@ -283,18 +282,12 @@ def test_no_full_gamma_allocated(d, n):
     assert _peak_bytes(estimation.fit_group_lasso, X, lam=0.1) < full
 
 
-# the functions that factor the active block they write; under the full
-# family with no zeroed edge that block has every coordinate
-FACTORING = {"asymptotic_cov"}
-
-
 @pytest.fixture
 def no_gamma_hat(monkeypatch):
     inner = ScoreMatchingMoments.gamma_lower
 
     def guarded(self, coords):
-        full = np.asarray(coords).size == self.h_hat.size
-        if full and sys._getframe(1).f_code.co_name not in FACTORING:
+        if np.asarray(coords).size == self.h_hat.size:
             raise AssertionError("the full Gamma_hat was assembled")
         return inner(self, coords)
 

@@ -1,14 +1,17 @@
 """Resident memory of the sandwich covariance, read from the kernel.
 
-``asymptotic_cov`` factors the lower triangle of the active Gamma block in an
-anonymous mapping whose strict upper half is never written, so that half
-never becomes resident. tracemalloc does not see such a mapping, so a fresh
-interpreter reads VmRSS before the call and VmHWM after it from
-/proc/self/status. The bound was fixed before measuring: the growth must
-stay under one m-square float64 array, the dense block the package formerly
-assembled. The triangle is half of that; the residual rows R (N x m) and
-the walk's chunk arrays fit in the rest at d=48, N=300. A small Cholesky
-runs first, so that BLAS's work buffers are resident before the count.
+``asymptotic_cov`` factors the active Gamma block by node-bisection blocks:
+three lower triangles, each in an anonymous mapping whose strict upper half
+is never written, so that half never becomes resident, and two dense
+rectangles. tracemalloc does not see such a mapping, so a fresh interpreter
+reads VmRSS before the call and VmHWM after it from /proc/self/status. The
+bound was fixed before measuring: the growth must stay under one m-square
+float64 array, the dense block the package formerly assembled. At the full
+family the blocks are 7/16 of that (triangles of order m/4, m/4 and m/2, and
+two m/2 x m/4 rectangles), where the former single triangle was half; the
+residual rows R (N x m) and the walk's chunk arrays fit in the rest at d=48,
+N=300. A small Cholesky runs first, so that BLAS's work buffers are resident
+before the count.
 """
 
 import os
