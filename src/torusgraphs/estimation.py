@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .exceptions import ConvergenceError, DomainError, SingularMomentsError
+from .exceptions import ConvergenceError, DomainError, SingularMomentsError, check_seed
 from .model import (
     Family,
     TorusGraphParams,
@@ -953,9 +953,10 @@ def select_lambda_cv(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_
     folds' pooled moments, and the trained coefficients are scored with the
     held-out moments. Each training fold's penalized system and step size
     are built once and shared by every weight in ``grid``, whose entries must
-    all be finite and >= 0; ``zero_edges`` are pairs in either order. Each
-    solve stops at ``tol=_CV_TOL`` of :func:`fit_group_lasso`. Returns
-    (best lambda, table of (lambda, mean loss)).
+    all be finite and >= 0; ``seed``, an integer >= 0, fixes the fold split;
+    ``zero_edges`` are pairs in either order. Each solve stops at
+    ``tol=_CV_TOL`` of :func:`fit_group_lasso`. Returns (best lambda, table of
+    (lambda, mean loss)).
     """
     return _cross_validate(data, family, folds, grid, seed, zero_edges)[:2]
 
@@ -965,6 +966,7 @@ def _cross_validate(data, family=Family.FULL, folds=5, grid=None, seed=0, zero_e
     pooled from the folds' moments, so a refit need not accumulate again."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n = X.shape[0]
+    check_seed(seed)
     if folds < 2:
         raise DomainError("need at least 2 folds")
     if grid is None or len(grid) == 0:

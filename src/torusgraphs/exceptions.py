@@ -2,8 +2,11 @@
 
 Domain errors (bad inputs, violated preconditions) and numerical errors
 (singular systems, failed iterations) are kept distinct so the CLI can map
-them to different exit codes.
+them to different exit codes. The checks of sampler counts and seeds, which
+every command that draws shares, live here too.
 """
+
+import numbers
 
 
 class TorusGraphError(Exception):
@@ -72,3 +75,25 @@ def add_context(exc, context):
     elif hasattr(exc, "add_note"):
         exc.add_note(context)
     return exc
+
+
+def is_integer(value):
+    """An integer that is not a boolean (JSON true/false parse as bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name, value, minimum):
+    """The one check of a sampler's count: DomainError unless ``value`` is an
+    integer and at least ``minimum``."""
+    if not is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+
+
+def check_seed(seed):
+    """The one check of a seed: DomainError unless it is an integer >= 0."""
+    if not is_integer(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")

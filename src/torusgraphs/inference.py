@@ -38,7 +38,13 @@ from .estimation import (
     accumulate_moments,
     fit_group_lasso,
 )
-from .exceptions import DegenerateTestError, DomainError, FamilyScopeError, add_context
+from .exceptions import (
+    DegenerateTestError,
+    DomainError,
+    FamilyScopeError,
+    add_context,
+    check_seed,
+)
 from .model import (
     Family,
     TorusGraphParams,
@@ -401,7 +407,8 @@ def bootstrap_null_test(
     Children 0, 1 and b + 2 of ``SeedSequence(seed).spawn(B + 3)`` seed the
     cross-validation of the observed fit, the null fit and replicate b; child
     B + 2 seeds the draw. The null edges (pairs in either order, each once),
-    B, the statistic and the burn-in are checked before any fit.
+    B, the statistic, the seed (an integer >= 0) and the burn-in are checked
+    before any fit.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
@@ -412,6 +419,7 @@ def bootstrap_null_test(
         raise DomainError("need B >= 19 bootstrap replicates")
     if statistic not in _STATISTICS:
         raise DomainError(f"unknown bootstrap statistic {statistic!r}")
+    check_seed(seed)
     if grid is None:
         grid = np.geomspace(1e-3, 1.0, 7)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(B + 3)]

@@ -9,8 +9,19 @@ tabled once, by :func:`torusgraphs.model._conditional_coefficients`, whose
 table also gives the sandwich covariance its model score, and serve
 :func:`conditional_von_mises` and both samplers. The one-chain
 (:func:`gibbs_sample`) and the many-chain (:func:`gibbs_sample_chains`)
-sampler share their checked start (:func:`_start`) and keep schedule
-(:func:`_kept_states`); only their node updates differ.
+sampler share their checked start (:func:`_start`), their visiting order
+(:func:`_colour_rounds`) and their keep schedule (:func:`_kept_states`).
+
+The visiting order colours each chain's nodes greedily by that chain's
+coupling graph, so nodes of one colour share no coupling block, and a sweep
+visits the colours in turn. One chain takes its nodes one by one. Many chains
+run each sweep as rounds: round r draws every chain's colour-r nodes, in
+chain order and then node order, with one matmul and one von Mises call. A
+node's conditional reads no node of its own colour, so a round is exactly the
+one-by-one update of its nodes, and a one-element list draws the one-chain
+stream up to rounding, for every model. Where every pair is coupled the
+colour order is the node order, one node of every chain per round; where none
+is, one round holds every node.
 """
 
 import math
@@ -19,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circular import wrap_angle
-from .exceptions import DomainError
+from .exceptions import DomainError, check_count, check_seed
 from .model import TorusGraphParams, _conditional_coefficients
 
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Chain settings: kept samples, burn-in sweeps, thinning and seed."""
+    """Chain settings: kept samples (>= 1), burn-in sweeps (>= 0), thinning
+    (>= 1) and seed (>= 0), all integers (not bool); DomainError otherwise."""
 
     n_samples: int
     burn_in: int = 500
@@ -33,12 +45,10 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be >= 1")
-        if self.thin < 1:
-            raise DomainError("thin must be >= 1")
-        if self.burn_in < 0:
-            raise DomainError("burn_in must be >= 0")
+        check_count("n_samples", self.n_samples, 1)
+        check_count("thin", self.thin, 1)
+        check_count("burn_in", self.burn_in, 0)
+        check_seed(self.seed)
 
 
 def conditional_von_mises(params, k, x_rest):
@@ -97,12 +107,41 @@ def _kept_states(cfg, x, sweep):
     return wrap_angle(out)
 
 
+def _colour_rounds(weights):
+    """Both samplers' visiting order, from the stacked table rows weights
+    (d, C, 2, 2d) of :func:`_start`: a list of rounds, each an int array of
+    the flat indices c * d + k of the chain-c node-k updates it holds, in
+    chain order and then node order.
+
+    Node k of chain c takes the smallest colour held by no earlier node j of
+    that chain that shares a nonzero coupling block with it (a nonzero entry
+    of row k on x_j's columns), for all chains at once in one pass over the
+    nodes; round r holds the colour-r nodes. No round holds two coupled nodes
+    of one chain, so drawing a round's nodes from one state is the Gibbs
+    update of each taken in turn. Where every pair is coupled the rounds are
+    the nodes in order; where none is, one round holds them all.
+    """
+    d, C = weights.shape[:2]
+    coupled = (weights.reshape(d, C, 4, d) != 0).any(axis=2)  # [k, c, j]
+    held = np.zeros((C, d, d), dtype=bool)  # [c, j, r]: node j of chain c has colour r
+    colour = np.empty((C, d), dtype=np.intp)
+    chains = np.arange(C)
+    for k in range(d):
+        taken = (coupled[k, :, :k, None] & held[:, :k]).any(axis=1)
+        colour[:, k] = np.argmin(taken, axis=1)
+        held[chains, k, colour[:, k]] = True
+    order = np.argsort(colour, axis=None, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(colour.ravel()))[:-1])
+
+
 def gibbs_sample(params, cfg):
     """Systematic-scan Gibbs sampler; returns an (n_samples, d) angle matrix.
 
-    From a uniform random start, each sweep updates coordinates 0..d-1 in
-    order from their exact von Mises full conditionals; after ``burn_in``
-    sweeps, every ``thin``-th sweep is kept. Deterministic given ``cfg.seed``.
+    From a uniform random start, each sweep updates every coordinate once from
+    its exact von Mises full conditional, in the colour order of
+    :func:`_colour_rounds` (node order when every pair is coupled); after
+    ``burn_in`` sweeps, every ``thin``-th sweep is kept. Deterministic given
+    ``cfg.seed``.
 
     Single-site updates mix the collective rotation slowly when coupling
     norms are very large (each conditional pins a coordinate to its
@@ -118,9 +157,10 @@ def gibbs_sample(params, cfg):
     k1, k2 = bias[:, 0].T
     cos_x, sin_x = np.cos(x), np.sin(x)
     dot, vonmises = np.dot, rng.vonmises
+    order = np.concatenate(_colour_rounds(weights)).tolist()
 
     def sweep():
-        for k in range(d):
+        for k in order:
             bx = k1[k] + dot(cx_c[k], cos_x) + dot(cx_s[k], sin_x)
             by = k2[k] + dot(cy_c[k], cos_x) + dot(cy_s[k], sin_x)
             xk = vonmises(math.atan2(by, bx), math.hypot(bx, by))
@@ -132,10 +172,10 @@ def gibbs_sample(params, cfg):
 
 
 def _chain_conditionals(weights, bias, cs, b, mean, amp):
-    """Von Mises (mean, concentration) of one node in every chain, written into
-    ``mean`` and ``amp`` (C,) through the work array ``b`` (C, 2, 1), from the
-    node's rows ``weights`` (C, 2, 2d) and ``bias`` (C, 2) of the conditional
-    table in each chain and each chain's state ``cs`` (C, 2d), (cos x | sin x)."""
+    """Von Mises (mean, concentration) of a round's n updates, written into
+    ``mean`` and ``amp`` (n,) through the work array ``b`` (n, 2, 1), from
+    each update's table rows ``weights`` (n, 2, 2d) and ``bias`` (n, 2) and
+    its chain's state ``cs`` (n, 2d), (cos x | sin x)."""
     np.matmul(weights, cs[:, :, None], out=b)
     np.add(b[:, :, 0], bias, out=b[:, :, 0])
     np.arctan2(b[:, 1, 0], b[:, 0, 0], out=mean)
@@ -143,27 +183,47 @@ def _chain_conditionals(weights, bias, cs, b, mean, amp):
     return mean, amp
 
 
+def _round_tables(flat, weights, bias, C):
+    """One round's fixed arrays, made once per run from its flat indices
+    c * d + k: its table rows and bias, the chains whose state rows it reads
+    and a buffer to gather them into (both None when it holds one node of
+    every chain, in chain order, so the state is read directly; a gather
+    there was measured slower on dense models), the work arrays of
+    :func:`_chain_conditionals`, and its scatter indices into x and cs."""
+    d = weights.shape[0]
+    c, k = np.divmod(flat, d)
+    n = flat.size
+    direct = n == C and np.array_equal(c, np.arange(C))
+    return (weights[k, c], bias[k, c], None if direct else c,
+            None if direct else np.empty((n, 2 * d)),
+            (np.empty((n, 2, 1)), np.empty(n), np.empty(n)),
+            flat, c * 2 * d + k, c * 2 * d + d + k)
+
+
 def gibbs_sample_chains(params_list, cfg):
     """Systematic-scan Gibbs sampler for C chains at once; returns a
     (C, n_samples, d) angle array, chain c drawn from ``params_list[c]``.
 
-    Every chain follows the start and keep schedule of :func:`gibbs_sample`;
-    one node update draws that node in all chains with one array call on a
-    single generator seeded by ``cfg.seed``. The chains share that stream,
-    so a chain's draws depend on the whole list; a one-element list draws
-    :func:`gibbs_sample`'s stream, equal up to rounding.
+    Every chain follows the start, visiting order and keep schedule of
+    :func:`gibbs_sample`. A sweep runs the rounds of :func:`_colour_rounds`:
+    round r draws every chain's colour-r nodes with one array call on a single
+    generator seeded by ``cfg.seed``, in chain order and then node order. The
+    chains share that stream, so a chain's draws depend on the whole list; a
+    one-element list draws :func:`gibbs_sample`'s stream, equal up to rounding.
     """
     rng, x, weights, bias = _start(params_list, cfg)
     C, d = x.shape
     cs = np.hstack([np.cos(x), np.sin(x)])
-    work = np.empty((C, 2, 1)), np.empty(C), np.empty(C)  # each update's b, mean and amp
+    rounds = [_round_tables(flat, weights, bias, C) for flat in _colour_rounds(weights)]
+    x_flat, cs_flat = x.reshape(-1), cs.reshape(-1)
     vonmises = rng.vonmises
 
     def sweep():
-        for k in range(d):
-            xk = vonmises(*_chain_conditionals(weights[k], bias[k], cs, *work))
-            x[:, k] = xk
-            np.cos(xk, out=cs[:, k])
-            np.sin(xk, out=cs[:, d + k])
+        for w, b, chains, rows, work, at_x, at_cos, at_sin in rounds:
+            state = cs if chains is None else np.take(cs, chains, axis=0, out=rows, mode="clip")
+            xk = vonmises(*_chain_conditionals(w, b, state, *work))
+            x_flat[at_x] = xk
+            cs_flat[at_cos] = np.cos(xk)
+            cs_flat[at_sin] = np.sin(xk)
 
     return _kept_states(cfg, x, sweep)

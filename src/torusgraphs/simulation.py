@@ -19,7 +19,7 @@ import numpy as np
 
 from .circular import von_mises_sample, wrap_angle
 from .estimation import fit_closed_form
-from .exceptions import DomainError, SchemaError, add_context
+from .exceptions import DomainError, SchemaError, add_context, check_seed, is_integer
 from .inference import asymptotic_cov, correct_pvalues, edge_tests, plv_tests
 from .model import (
     Family,
@@ -179,14 +179,9 @@ def _generator_options(kind):
     return required, optional
 
 
-def _is_integer(value):
-    """An integer that is not a boolean (JSON true/false parse as bool)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _is_number(value):
     """A JSON number: an integer or a float, not a boolean."""
-    return _is_integer(value) or isinstance(value, (float, np.floating))
+    return is_integer(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ class GeneratorSpec:
         for key, value in self.options.items():
             if key == "contam":
                 if not (isinstance(value, (list, tuple)) and len(value) == 2
-                        and _is_integer(value[0]) and _is_number(value[1])):
+                        and is_integer(value[0]) and _is_number(value[1])):
                     raise SchemaError("generator option 'contam' must be [count, kappa], an "
                                       f"integer and a number, got {value!r}")
             elif key not in ("d", "gibbs") and not _is_number(value):
@@ -234,13 +229,13 @@ class GeneratorSpec:
             raise SchemaError("generator option 'gibbs' must be an object with keys among "
                               "['burn_in', 'thin']")
         for key, value in gibbs.items():
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise SchemaError(f"field {key!r} has the wrong type")
         if gibbs.get("burn_in", 0) < 0 or gibbs.get("thin", 1) < 1:
             raise DomainError(f"gibbs needs burn_in >= 0 and thin >= 1, got {gibbs!r}")
         if "d" in self.options:
             d = self.options["d"]
-            if not _is_integer(d) or d < 2:
+            if not is_integer(d) or d < 2:
                 raise DomainError(f"generator {self.kind!r} needs an integer d >= 2, got {d!r}")
 
     def generate(self, N, seed):
@@ -321,8 +316,7 @@ def draw_replicates(gen, n_reps, N, seed=0):
     """
     if n_reps < 1 or N < 1:
         raise DomainError(f"need at least one replicate and one trial, got n_reps={n_reps}, N={N}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     children = np.random.SeedSequence(seed).spawn(n_reps + 1)
     seeds = [_seed_of(s) for s in children[:n_reps]]
     batched = isinstance(gen, GeneratorSpec) and gen.kind == "random"

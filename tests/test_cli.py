@@ -391,6 +391,21 @@ class TestExitCodes:
         assert main(["fit", str(data), *penalty, "--out", str(tmp_path / "m.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--model", "{model}", "-n", "10", "--out", "{tmp}/s.csv"],
+        ["gof", "{data}", "--model", "{model}", "--n-synth", "100"],
+        ["fit", "{data}", "--cv", "3", "--grid", "0.01,0.1", "--out", "{tmp}/cv.json"],
+    ], ids=["sample", "gof", "fit-cv"])
+    def test_domain_error_negative_seed_on_each_command(self, tmp_path, capsys, chain_csv, command):
+        # the one seed check of draw_replicates, as bench reports it
+        data, _ = chain_csv
+        model = tmp_path / "m.json"
+        assert main(["fit", str(data), "--out", str(model)]) == 0
+        capsys.readouterr()
+        argv = [a.format(model=model, data=data, tmp=tmp_path) for a in command]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_numerical_error_undersampled(self, tmp_path):
         data = tmp_path / "tiny.csv"
         rng = np.random.default_rng(1)

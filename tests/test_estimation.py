@@ -1,5 +1,7 @@
 """Tests for score-matching estimation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,18 @@ class TestGroupLasso:
 
 
 class TestSelectLambdaCV:
+    @pytest.mark.parametrize("seed,message", [(-1, "seed must be >= 0, got -1"),
+                                              (0.5, "seed must be an integer, got 0.5"),
+                                              (True, "seed must be an integer, got True")])
+    def test_bad_seed_rejected_before_any_fold(self, monkeypatch, seed, message):
+        def no_walk(data):
+            raise AssertionError("a fold's moments were accumulated before the seed was checked")
+
+        monkeypatch.setattr(estimation, "accumulate_moments", no_walk)
+        X = np.random.default_rng(55).uniform(0, 2 * np.pi, size=(60, 3))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            select_lambda_cv(X, folds=2, grid=[0.1], seed=seed)
+
     def test_single_candidate(self):
         rng = np.random.default_rng(54)
         X = rng.uniform(0, 2 * np.pi, size=(200, 3))

@@ -570,6 +570,8 @@ class TestBootstrapNullTest:
         ({"statistic": "bogus"}, "^unknown bootstrap statistic 'bogus'$"),
         ({"B": 18}, "^need B >= 19 bootstrap replicates$"),
         ({"gibbs_burn_in": -1}, "^burn_in must be >= 0$"),
+        ({"seed": -1}, "^seed must be >= 0, got -1$"),
+        ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
     ])
     def test_arguments_checked_before_any_fit(self, monkeypatch, options, message):
         def no_fit(*args, **kwargs):
