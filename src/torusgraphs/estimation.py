@@ -28,11 +28,11 @@ package builds is the sandwich covariance's, and not as one block: the
 active coordinates are split by one level of nested dissection over the
 nodes (:func:`_bisection_order`), Gamma_hat is zero between two of the three
 sets, and its Cholesky factor is made by blocks
-(:class:`BisectionCholesky`): three lower triangles, each written into a
-buffer whose upper half is never mapped and factored there, and two dense
-rectangles. The sandwich's residual rows Gamma(x) phi - H(x) need no
-derivative rows either: they follow in closed form from the model score
-(:func:`_residual_rows`).
+(:class:`BisectionCholesky`): three lower triangles, each written and
+factored in LAPACK's rectangular full packed storage, n(n + 1)/2 contiguous
+values for order n, and two dense rectangles. The sandwich's residual rows
+Gamma(x) phi - H(x) need no derivative rows either: they follow in closed
+form from the model score (:func:`_residual_rows`).
 
 Affine submodels are handled by index deletion (rows/columns of masked
 coordinates are dropped and the solution re-embedded with exact zeros). The
@@ -71,6 +71,8 @@ _MIN_ONE_THREAD_ROWS = 64
 _BLOCK_GROUPS = 8  # the node blocks are assembled in about this many groups of nodes
 _RESIDUAL_CHUNK = 64  # its pair temporaries stay within _CHUNK rows of statistics
 _SUM_PANEL = 64  # columns of a block read at once for the sandwich's 1-norm
+# the cells of a panel's square above its diagonal
+_ABOVE = np.triu(np.ones((_SUM_PANEL, _SUM_PANEL), dtype=bool), 1)
 _COND_LIMIT = 1e12
 _CG_RTOL = 1e-14
 _LASSO_MAX_ITER = 20000
@@ -113,9 +115,10 @@ class ScoreMatchingMoments:
     products of (1, cos x, sin x) without forming A_l. Gamma_hat is the sum of
     the blocks placed on those coordinates; it is applied by :meth:`gamma_dot`,
     applied on a coordinate subset by :meth:`gamma_operator`, and its lower
-    triangle on one is written by :meth:`gamma_lower`, and its rectangle on
-    two by :meth:`gamma_rectangle`. ``h_hat`` is (2d^2,), and ``n`` the sample
-    count the moments average over.
+    triangle on one is written in rectangular full packed storage by
+    :meth:`gamma_rfp`, and its rectangle on two by :meth:`gamma_rectangle`.
+    ``h_hat`` is (2d^2,), and ``n`` the sample count the moments average
+    over.
 
     The two arrays are kept, not copied, where they are float64 arrays
     already, as :func:`accumulate_moments` and :func:`_pool` make them, and
@@ -168,53 +171,66 @@ class ScoreMatchingMoments:
         position = np.where(valid, np.take_along_axis(table, order, axis=1), 0)
         return GammaOperator(blocks, position, coords.size)
 
-    def gamma_lower(self, coords):
-        """Gamma_hat restricted to ``coords`` (distinct coordinates), written
-        onto the lower triangle of a new Fortran-ordered array whose strict
-        upper half is never written (:func:`_lower_buffer`), to be factored
-        where it lies. The blocks are added in node order, each onto the
-        cells of its coordinates' lower triangle, so a cell holds the same
+    def gamma_rfp(self, coords):
+        """Gamma_hat restricted to ``coords`` (distinct coordinates), its lower
+        triangle in rectangular full packed storage (:func:`_rfp_columns`): a
+        new 1-D array of the n(n + 1)/2 values for n = ``coords.size``, to be
+        factored where it lies. The blocks are added in node order, each onto
+        the cells of its coordinates' lower triangle, so a cell holds the same
         sum as in a scatter of both triangles."""
         coords = np.asarray(coords, dtype=int)
-        G = _lower_buffer(coords.size)
-        self._add_blocks(G, coords, coords, lower=True)
-        return G
+        n = coords.size
+        T = np.zeros(n * (n + 1) // 2)
+        self._add_blocks(T, coords, coords, *_rfp_columns(n), lower=True)
+        return T
 
     def gamma_rectangle(self, rows, cols):
         """Gamma_hat on the coordinates ``rows`` by ``cols`` (each distinct),
         as a new Fortran-ordered array, the blocks added in node order."""
         rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
         G = np.zeros((rows.size, cols.size), order="F")
-        self._add_blocks(G, rows, cols, lower=False)
+        # a view: cell (i, j) is i + |rows| j
+        self._add_blocks(G.reshape(-1, order="F"), rows, cols, np.ones(cols.size, dtype=int),
+                         rows.size * np.arange(cols.size), lower=False)
         return G
 
-    def _add_blocks(self, G, rows, cols, lower):
-        """Add each node's block, in node order, onto the cells of the
-        Fortran-ordered G on ``rows`` by ``cols``: those of its lower triangle
-        alone with ``lower``."""
-        cells = G.reshape(-1, order="F")  # a view: cell (i, j) is i + |rows| j
+    def _add_blocks(self, cells, rows, cols, stride, start, lower):
+        """Add each node's block, in node order, onto the flat ``cells``: the
+        entry at (i, j), i among ``rows`` and j among ``cols``, at
+        i stride[j] + start[j]; with ``lower``, the cells i >= j alone. Only
+        nodes with cells in the target are visited, and only their kept
+        sub-block is indexed."""
         table = _node_coords(self.d)
         at_row = _positions(self.h_hat.size, rows)[table]
         at_col = _positions(self.h_hat.size, cols)[table]
-        for r, c, B in zip(at_row, at_col, self.blocks):
-            kept = ((r[:, None] >= c) if lower else (r[:, None] >= 0)) & (c >= 0)
+        row_kept, col_kept = at_row >= 0, at_col >= 0
+        for l in np.nonzero(row_kept.any(axis=1) & col_kept.any(axis=1))[0]:
+            i, j = at_row[l][row_kept[l]], at_col[l][col_kept[l]]
+            place = i[:, None] * stride[j] + start[j]
+            sub = self.blocks[l][np.ix_(row_kept[l], col_kept[l])]
+            if lower:
+                kept = i[:, None] >= j
+                place, sub = place[kept], sub[kept]
             # one node's cells are distinct, so the buffered add adds each entry once
-            cells[(r[:, None] + rows.size * c)[kept]] += B[kept]
+            cells[place] += sub
 
 
-def _lower_buffer(m):
-    """A new Fortran-ordered m-square array of zeros in anonymous memory
-    without huge pages. A page becomes resident when it is first written, so
-    the strict upper half of a triangle that is never written costs no
-    memory. numpy would give an array this large huge pages, and each of
-    those spans both triangles. The mapping is released with the last array
-    that views it."""
-    import mmap  # only the sandwich needs it
-
-    buf = mmap.mmap(-1, max(8 * m * m, 1))
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, count=m * m).reshape((m, m), order="F")
+def _rfp_columns(n):
+    """Where an order-n lower triangle lies in LAPACK's rectangular full
+    packed storage with TRANSR='N', UPLO='L' (Gustavson, Wasniewski, Dongarra
+    & Langou 2010, ACM TOMS 37(2)): cell (i, j), i >= j, is at
+    i stride[j] + start[j]. With k = ceil(n/2), the n(n + 1)/2 values form a
+    Fortran-ordered array of n + 1 - (n mod 2) rows and k columns. Column
+    j < k holds the triangle's column j, below one row (n even) or none (n
+    odd); the trailing triangle, of order n - k, lies transposed above them,
+    its column j in row j - k."""
+    k, odd = (n + 1) // 2, n % 2
+    lda = n + 1 - odd
+    j = np.arange(n)
+    leading = j < k
+    stride = np.where(leading, 1, lda)
+    start = np.where(leading, 1 - odd + j * lda, j - k + (odd - k) * lda)
+    return stride, start
 
 
 def _positions(size, coords):
@@ -525,10 +541,11 @@ class BisectionCholesky:
         L = [[L_A, 0, 0], [0, L_B, 0], [X_A, X_B, L_S]],
 
     L_A L_A' = G_AA, L_B L_B' = G_BB, X_A = G_SA L_A^-T, X_B = G_SB L_B^-T and
-    L_S L_S' = G_SS - X_A X_A' - X_B X_B'. Each triangle lies in the lower half
-    of its own buffer (:func:`_lower_buffer`); X_A and X_B are dense and
-    Fortran-ordered. From d = 2 no block has an order above d^2, half of
-    2d^2.
+    L_S L_S' = G_SS - X_A X_A' - X_B X_B'. Each triangle is a 1-D array of its
+    n(n + 1)/2 values in rectangular full packed storage
+    (:func:`_rfp_columns`); X_A and X_B are dense and Fortran-ordered, and
+    give the orders: |S| x |A| and |S| x |B|. From d = 2 no block has an
+    order above d^2, half of 2d^2.
     """
 
     la: np.ndarray
@@ -541,25 +558,26 @@ class BisectionCholesky:
         """R Gamma_hat^-1 written into R, a Fortran-ordered (rows, m) array
         whose columns are in L's order: Y L' = R, then Z L = Y, by blocks of
         columns."""
-        a, b = self.la.shape[0], self.lb.shape[0]
+        a, b = self.xa.shape[1], self.xb.shape[1]
         ra, rb, rs = R[:, :a], R[:, a : a + b], R[:, a + b :]
-        _triangular(self.la, ra, 1)
-        _triangular(self.lb, rb, 1)
+        _triangular(self.la, ra, "T")
+        _triangular(self.lb, rb, "T")
         _subtract_product(ra, self.xa, rs, 1)
         _subtract_product(rb, self.xb, rs, 1)
-        _triangular(self.ls, rs, 1)
-        _triangular(self.ls, rs, 0)
+        _triangular(self.ls, rs, "T")
+        _triangular(self.ls, rs, "N")
         _subtract_product(rs, self.xa, ra, 0)
         _subtract_product(rs, self.xb, rb, 0)
-        _triangular(self.la, ra, 0)
-        _triangular(self.lb, rb, 0)
+        _triangular(self.la, ra, "N")
+        _triangular(self.lb, rb, "N")
 
 
-def _triangular(L, Y, trans):
-    """Y L^-T (``trans`` 1) or Y L^-1 (0) into Y, for L the lower triangle of
-    its buffer; no call on an empty block."""
+def _triangular(T, Y, trans):
+    """Y L^-T (``trans`` "T") or Y L^-1 ("N") into Y, for L the triangle of
+    order Y.shape[1] in the RFP array T; no call on an empty block."""
     if Y.size:
-        scipy.linalg.blas.dtrsm(1.0, L, Y, side=1, lower=1, trans_a=trans, overwrite_b=1)
+        scipy.linalg.lapack.dtfsm(1.0, T, Y, transr="N", side="R", uplo="L", trans=trans,
+                                  overwrite_b=1)
 
 
 def _subtract_product(Y, X, C, trans):
@@ -568,10 +586,11 @@ def _subtract_product(Y, X, C, trans):
         scipy.linalg.blas.dgemm(-1.0, Y, X, beta=1.0, c=C, trans_b=trans, overwrite_c=1)
 
 
-def _cholesky_in_place(L, n, m_total):
-    """L's lower triangle overwritten by its Cholesky factor; the upper half
-    is neither read nor written (``clean=0``). No call on an empty block."""
-    if L.size and scipy.linalg.lapack.dpotrf(L, lower=1, clean=0, overwrite_a=1)[1] != 0:
+def _cholesky_in_place(T, order, n, m_total):
+    """The RFP triangle T of ``order`` overwritten by its Cholesky factor. No
+    call on an empty block."""
+    if T.size and scipy.linalg.lapack.dpftrf(order, T, transr="N", uplo="L",
+                                             overwrite_a=1)[1] != 0:
         raise _singular(n, m_total)
 
 
@@ -581,7 +600,7 @@ def _bisection_cholesky(moments, order, sizes, m_total):
     :func:`_bisection_order`, and its 1-norm condition estimate.
 
     The triangles G_AA, G_BB and G_SS are written by
-    :meth:`ScoreMatchingMoments.gamma_lower` and the rectangles G_SA and G_SB
+    :meth:`ScoreMatchingMoments.gamma_rfp` and the rectangles G_SA and G_SB
     by :meth:`ScoreMatchingMoments.gamma_rectangle`; each is factored where
     it lies. The 1-norm of Gamma_hat is taken from the blocks before
     factoring (:func:`_block_norm1`) and ||Gamma_hat^-1||_1 estimated through
@@ -591,15 +610,17 @@ def _bisection_cholesky(moments, order, sizes, m_total):
     1e12."""
     n = moments.n
     sets = np.split(order, np.cumsum(sizes)[:2])
-    la, lb, ls = (moments.gamma_lower(c) for c in sets)
+    la, lb, ls = (moments.gamma_rfp(c) for c in sets)
     xa, xb = (moments.gamma_rectangle(sets[2], c) for c in sets[:2])
     anorm = _block_norm1(la, lb, ls, xa, xb)
-    for L, X in ((la, xa), (lb, xb)):
-        _cholesky_in_place(L, n, m_total)
-        _triangular(L, X, 1)
+    s = sizes[2]
+    for T, X in ((la, xa), (lb, xb)):
+        _cholesky_in_place(T, X.shape[1], n, m_total)
+        _triangular(T, X, "T")
         if X.size:
-            scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=ls, lower=1, overwrite_c=1)
-    _cholesky_in_place(ls, n, m_total)
+            scipy.linalg.lapack.dsfrk(s, X.shape[1], -1.0, X, 1.0, ls, transr="N", uplo="L",
+                                      trans="N", overwrite_c=1)
+    _cholesky_in_place(ls, s, n, m_total)
     factor = BisectionCholesky(la, lb, ls, xa, xb)
     if not order.size:
         return factor, 1.0
@@ -615,41 +636,66 @@ def _bisection_cholesky(moments, order, sizes, m_total):
     return factor, cond
 
 
-def _abs_sums(M, lower):
-    """Column and row sums of |M| for a Fortran-ordered M, or with ``lower``
-    of its lower triangle alone. M is read in panels of _SUM_PANEL columns
-    through one work array, and a triangle above its diagonal only within a
-    panel's top square, so no copy of M is made."""
+def _abs_sums(M, triangle=None):
+    """Column and row sums of |M| for a view M of a Fortran-ordered array, or
+    with ``triangle`` "lower" or "upper" of that triangle (or trapezoid) of
+    M alone. M is read in panels of _SUM_PANEL columns through one work
+    array, and across its diagonal only within a panel's square, so no copy
+    of M is made."""
     rows, cols = M.shape
     col_sums, row_sums = np.zeros(cols), np.zeros(rows)
     work = np.empty((rows, _SUM_PANEL), order="F")
-    above = np.triu(np.ones((_SUM_PANEL, _SUM_PANEL), dtype=bool), 1)
     for a in range(0, cols, _SUM_PANEL):
         w = min(_SUM_PANEL, cols - a)
-        top = a if lower else 0
-        panel = np.abs(M[top:, a : a + w], out=work[: rows - top, :w])
-        if lower:
-            panel[:w][above[:w, :w]] = 0.0
+        top = a if triangle == "lower" else 0
+        end = a + w if triangle == "upper" else rows
+        panel = np.abs(M[top:end, a : a + w], out=work[: end - top, :w])
+        if triangle == "lower":
+            panel[:w][_ABOVE[:w, :w]] = 0.0
+        elif triangle == "upper":
+            panel[a:][_ABOVE.T[:w, :w]] = 0.0
         col_sums[a : a + w] += panel.sum(axis=0)
-        row_sums[top:] += panel.sum(axis=1)
+        row_sums[top:end] += panel.sum(axis=1)
     return col_sums, row_sums
+
+
+def _rfp_parts(T, n):
+    """The order-n lower triangle in the RFP array T (:func:`_rfp_columns`)
+    as two Fortran-ordered views of T: an n x k array whose lower trapezoid
+    is the triangle's first k = ceil(n/2) columns, and a square array whose
+    upper triangle is the transpose of the trailing triangle, of order
+    n - k."""
+    k, odd = (n + 1) // 2, n % 2
+    W = T.reshape((n + 1 - odd, k), order="F")
+    return W[1 - odd :], W[: n - k, odd:]
 
 
 def _block_norm1(la, lb, ls, xa, xb):
     """1-norm of the symmetric [[G_AA, 0, G_SA'], [0, G_BB, G_SB'], [G_SA,
-    G_SB, G_SS]] from the lower triangles la, lb, ls of its diagonal blocks
-    and the rectangles xa = G_SA and xb = G_SB, before any is factored. A
-    column of a symmetric matrix sums the column and the row of its lower
-    triangle, less the diagonal entry counted twice."""
+    G_SB, G_SS]] from the RFP triangles la, lb, ls of its diagonal blocks
+    and the rectangles xa = G_SA and xb = G_SB, before any is factored. Each
+    RFP triangle is read as its leading columns and its trailing triangle
+    (:func:`_rfp_parts`). A column of a symmetric matrix sums the column and
+    the row of its lower (or upper) triangle, less the diagonal entry
+    counted twice."""
+    s, a = xa.shape
+    b = xb.shape[1]
+    sums = np.zeros(a + b + s)
 
-    def symmetric(L):
-        col_sums, row_sums = _abs_sums(L, lower=True)
-        return col_sums + row_sums - np.abs(np.diagonal(L))
+    def add(M, row, col, triangle=None):
+        col_sums, row_sums = _abs_sums(M, triangle)
+        if triangle:
+            col_sums -= np.abs(np.diagonal(M))
+        sums[col : col + M.shape[1]] += col_sums
+        sums[row : row + M.shape[0]] += row_sums
 
-    sa_cols, sa_rows = _abs_sums(xa, lower=False)
-    sb_cols, sb_rows = _abs_sums(xb, lower=False)
-    sums = np.concatenate([symmetric(la) + sa_cols, symmetric(lb) + sb_cols,
-                           symmetric(ls) + sa_rows + sb_rows])
+    for T, at, size in ((la, 0, a), (lb, a, b), (ls, a + b, s)):
+        leading, trailing = _rfp_parts(T, size)
+        k = leading.shape[1]
+        add(leading, at, at, "lower")
+        add(trailing, at + k, at + k, "upper")
+    add(xa, a + b, 0)
+    add(xb, a + b, a)
     return float(sums.max()) if sums.size else 0.0
 
 

@@ -10,9 +10,10 @@ the (N, |active|) residual rows on the family's active coordinates, Sigma = F'F
 for the factor F = R Gamma^-1 / sqrt(N), and a test reads only the block
 F_c'F_c of the coordinates c it tests (:class:`SandwichCov`). Gamma is
 factored by node-bisection blocks (:func:`asymptotic_cov`), from d = 2 none of
-order above d^2. Quadratic forms of coefficient blocks against that covariance
-give chi-squared statistics with one degree of freedom per tested coordinate:
-4 for a full coupling block, 2 for its rotational or reflectional half, and
+order above d^2, its three triangles in rectangular full packed storage.
+Quadratic forms of coefficient blocks against that covariance give
+chi-squared statistics with one degree of freedom per tested coordinate: 4
+for a full coupling block, 2 for its rotational or reflectional half, and
 2|E| or 4|E| for groups of edges.
 Every pair, one pair or one group is tested as one stack of blocks, with one
 batched product, solve and chi-squared call. The CLI and the benchmark harness
@@ -110,9 +111,10 @@ def asymptotic_cov(data, params, moments=None):
     alone, and S the pairs across. Gamma_hat is zero between A and B, so its
     Cholesky factor is made by blocks, from d = 2 none of order above d^2
     (:class:`torusgraphs.estimation.BisectionCholesky`): the three diagonal
-    blocks' lower triangles, each in a buffer whose upper half is never
-    mapped, and the two dense rectangles S x A and S x B. R is written with
-    its columns in that order, and the solve against it is written into R. Tests read small blocks of Sigma through
+    blocks' lower triangles, each in rectangular full packed storage of
+    n(n + 1)/2 values for order n, and the two dense rectangles S x A and
+    S x B. R is written with its columns in that order, and the solve
+    against it is written into R. Tests read small blocks of Sigma through
     :meth:`SandwichCov.block`. ``params`` may be the fitted or a null
     coefficient vector. Raises SingularMomentsError, as the closed-form fit
     does, on a block that is not positive definite or a 1-norm condition

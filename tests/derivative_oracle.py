@@ -9,9 +9,15 @@ the statistics, each node's derivative rows as their signed gather and the
 rows' Gram block, with the chunk sums pairwise reduced.
 
 ``jacobian_D`` and ``gamma_H_of_sample`` give the dense per-sample definition
-of the score-matching moments, Gamma(x) = D D^T and H(x) = [S1, 2 S2], and
-``gamma_hat`` mirrors the package's lower triangle of Gamma_hat on every
-coordinate into the full 2d^2-square array, which no package path builds.
+of the score-matching moments, Gamma(x) = D D^T and H(x) = [S1, 2 S2].
+``gamma_lower`` and ``_lower_buffer`` are the package's former triangle
+writer (``ScoreMatchingMoments.gamma_lower``, kept verbatim but for taking
+the moments as an argument and one coordinate set as rows and columns),
+the oracle of the rectangular full packed triangle that replaced it
+(``ScoreMatchingMoments.gamma_rfp``): the lower triangle of an m-square
+Fortran-ordered array whose strict upper half is never written. ``gamma_hat``
+mirrors its triangle of Gamma_hat on every coordinate into the full
+2d^2-square array, which no package path builds.
 ``gamma_block`` is the package's former dense assembly of Gamma_hat on a
 coordinate set (``ScoreMatchingMoments.gamma_block`` and
 ``GammaOperator.dense``, kept verbatim in one function that takes the moments
@@ -28,9 +34,15 @@ import functools
 
 import numpy as np
 
-from torusgraphs.estimation import ScoreMatchingMoments, _pairwise_reduce
+from torusgraphs.estimation import ScoreMatchingMoments, _pairwise_reduce, _positions
 from torusgraphs.exceptions import DomainError
-from torusgraphs.model import _edge_index_arrays, _read_only, param_dim, suff_stats_batch
+from torusgraphs.model import (
+    _edge_index_arrays,
+    _node_coords,
+    _read_only,
+    param_dim,
+    suff_stats_batch,
+)
 
 _CHUNK = 256
 
@@ -140,11 +152,44 @@ def gamma_block(moments, coords):
     return G
 
 
+def gamma_lower(moments, coords):
+    """Gamma_hat restricted to ``coords`` (distinct coordinates), written
+    onto the lower triangle of a new Fortran-ordered array whose strict
+    upper half is never written (:func:`_lower_buffer`), to be factored
+    where it lies. The blocks are added in node order, each onto the
+    cells of its coordinates' lower triangle, so a cell holds the same
+    sum as in a scatter of both triangles."""
+    coords = np.asarray(coords, dtype=int)
+    G = _lower_buffer(coords.size)
+    cells = G.reshape(-1, order="F")  # a view: cell (i, j) is i + |coords| j
+    at = _positions(moments.h_hat.size, coords)[_node_coords(moments.d)]
+    for r, B in zip(at, moments.blocks):
+        kept = (r[:, None] >= r) & (r >= 0)
+        # one node's cells are distinct, so the buffered add adds each entry once
+        cells[(r[:, None] + coords.size * r)[kept]] += B[kept]
+    return G
+
+
+def _lower_buffer(m):
+    """A new Fortran-ordered m-square array of zeros in anonymous memory
+    without huge pages. A page becomes resident when it is first written, so
+    the strict upper half of a triangle that is never written costs no
+    memory. numpy would give an array this large huge pages, and each of
+    those spans both triangles. The mapping is released with the last array
+    that views it."""
+    import mmap  # only the sandwich needs it
+
+    buf = mmap.mmap(-1, max(8 * m * m, 1))
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, count=m * m).reshape((m, m), order="F")
+
+
 def gamma_hat(moments):
     """The full 2d^2-square Gamma_hat of ScoreMatchingMoments as a C-ordered,
-    read-only array: the package's lower triangle on every coordinate
-    (``gamma_lower``) and its mirror image."""
-    L = moments.gamma_lower(np.arange(moments.h_hat.size))
+    read-only array: the oracle's lower triangle on every coordinate
+    (:func:`gamma_lower`) and its mirror image."""
+    L = gamma_lower(moments, np.arange(moments.h_hat.size))
     G = np.ascontiguousarray(np.tril(L) + np.tril(L, -1).T)
     G.flags.writeable = False
     return G

@@ -6,7 +6,8 @@ factor that replaced them (``estimation.BisectionCholesky``), but for one
 thing: the residual rows, which the package now writes Fortran-ordered, are
 made C-ordered here, so that the solve against their transpose is still
 written into them. The oracle writes the lower triangle of the whole active
-Gamma block (``gamma_lower``), factors it in place by ``cho_factor`` and
+Gamma block (``derivative_oracle.gamma_lower``, the package's former
+triangle writer), factors it in place by ``cho_factor`` and
 solves R Gamma^-1 by ``cho_solve``; its factor's columns are the active
 coordinates in increasing order. ``dpocon_condition`` gives the condition
 estimate that the guard of ``_checked_cholesky`` compares with 1e12.
@@ -27,6 +28,8 @@ from torusgraphs.exceptions import DomainError
 from torusgraphs.inference import SandwichCov
 from torusgraphs.model import param_dim
 
+from derivative_oracle import gamma_lower
+
 _NORM_PANEL = 32
 
 
@@ -36,7 +39,7 @@ def _checked_cholesky(G, n, m_total):
 
     One triangle is read and factored where it lies, overwriting G: the
     lower triangle of G when G is Fortran-ordered, as
-    :meth:`ScoreMatchingMoments.gamma_lower` writes it, and otherwise that
+    :func:`derivative_oracle.gamma_lower` writes it, and otherwise that
     of G's transpose, the Fortran-ordered view of a C-ordered exactly
     symmetric block. The guard's 1-norm is the symmetric matrix's, read off
     that triangle (:func:`_symmetric_norm1`).
@@ -84,7 +87,7 @@ def asymptotic_cov(data, params, moments=None):
     F = R Gamma_hat^-1 / sqrt(N), which is all that is formed. The moments, if
     none are passed, are accumulated here. The lower triangle of the active
     Gamma block is written from the moments' node blocks
-    (:meth:`ScoreMatchingMoments.gamma_lower`) into a buffer whose upper half
+    (:func:`derivative_oracle.gamma_lower`) into a buffer whose upper half
     is never mapped, and factored there; the solve against R is written into R.
     ``params`` may be the fitted or a null coefficient vector. Raises
     SingularMomentsError, as the closed-form fit does, on a singular active
@@ -101,7 +104,7 @@ def asymptotic_cov(data, params, moments=None):
         moments = accumulate_moments(X)
     idx = np.nonzero(params.active)[0]
     R = np.ascontiguousarray(_residual_rows(X, params, idx))
-    cho = _checked_cholesky(moments.gamma_lower(idx), moments.n, m)
+    cho = _checked_cholesky(gamma_lower(moments, idx), moments.n, m)
     # R' is Fortran-ordered, so the solve overwrites R with R Gamma^-1
     scipy.linalg.cho_solve(cho, R.T, overwrite_b=True, check_finite=False)
     R *= 1.0 / np.sqrt(n)
@@ -112,7 +115,7 @@ def asymptotic_cov(data, params, moments=None):
 def dpocon_condition(moments, coords):
     """1 / rcond of LAPACK's dpocon for Gamma_hat on ``coords``, as the guard
     of :func:`_checked_cholesky` computes it (no guard applied)."""
-    L = moments.gamma_lower(coords)
+    L = gamma_lower(moments, coords)
     anorm = _symmetric_norm1(L)
     cho = scipy.linalg.cho_factor(L, lower=True, overwrite_a=True, check_finite=False)
     return 1.0 / scipy.linalg.lapack.dpocon(cho[0], anorm, uplo="L")[0]

@@ -18,7 +18,10 @@ G. The chain is checked link by link.
   estimate, made by Hager-Higham through block solves, with dpocon's to 1e-8
   relative. A singular or ill-conditioned Gamma must still raise. From d = 2
   on, no block that is factored has an order above d^2, half of 2d^2, and no
-  BLAS or LAPACK call is made on an empty block.
+  BLAS or LAPACK call is made on an empty block. The three triangles are
+  held in rectangular full packed storage; the guard's 1-norm, read from
+  them, must agree with ``dlange`` on the dense symmetric matrix to 1e-14
+  relative.
 """
 
 import tracemalloc
@@ -253,6 +256,12 @@ def test_block_guard(coord, small):
             inference.asymptotic_cov(X, params, moments=moments)
 
 
+def rfp(A):
+    """The lower triangle of the square A in rectangular full packed storage,
+    by LAPACK's dtrttf, which reads nothing above the diagonal."""
+    return scipy.linalg.lapack.dtrttf(np.asfortranarray(A), transr="N", uplo="L")[0]
+
+
 @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 150])
 def test_block_norm_is_symmetric_norm(m):
     rng = np.random.default_rng(447 + m)
@@ -260,13 +269,21 @@ def test_block_norm_is_symmetric_norm(m):
     A += A.T
     a, b = m // 4, m // 3
     A[:a, a : a + b] = A[a : a + b, :a] = 0.0  # no coupling between A and B
-    blocks = []
-    for s in (slice(0, a), slice(a, a + b), slice(a + b, m)):
-        L = np.asfortranarray(np.tril(A[s, s]))
-        L[np.triu_indices(L.shape[0], 1)] = np.nan  # not part of the triangle
-        blocks.append(L)
+    blocks = [rfp(A[s, s]) for s in (slice(0, a), slice(a, a + b), slice(a + b, m))]
     for s in (slice(0, a), slice(a, a + b)):
         blocks.append(np.asfortranarray(A[a + b :, s]))
+    expected = scipy.linalg.lapack.dlange("1", A)
+    assert estimation._block_norm1(*blocks) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 63, 64, 65, 128, 129, 150, 151])
+def test_rfp_norm_is_symmetric_norm(m):
+    # one RFP triangle of odd or even order, its panels cut at any place
+    rng = np.random.default_rng(449 + m)
+    A = rng.normal(size=(m, m))
+    A += A.T
+    empty = np.zeros(0)
+    blocks = (empty, empty, rfp(A), np.zeros((m, 0), order="F"), np.zeros((m, 0), order="F"))
     expected = scipy.linalg.lapack.dlange("1", A)
     assert estimation._block_norm1(*blocks) == pytest.approx(expected, rel=1e-14, abs=0)
 
@@ -293,17 +310,19 @@ def test_inverse_norm_estimate_is_dpocon_estimate():
 
 
 def record_calls(monkeypatch):
-    """Record the operand shapes of every BLAS and LAPACK call the factor and
-    its solves make."""
+    """Record the operands of every BLAS and LAPACK call the factor and its
+    solves make: the shape of each array, and each order or rank passed as a
+    positional integer."""
     calls = []
-    for module, names in ((scipy.linalg.blas, ("dtrsm", "dgemm", "dsyrk")),
-                          (scipy.linalg.lapack, ("dpotrf",))):
+    for module, names in ((scipy.linalg.blas, ("dgemm",)),
+                          (scipy.linalg.lapack, ("dpftrf", "dtfsm", "dsfrk"))):
         for name in names:
             inner = getattr(module, name)
 
             def recorded(*args, _name=name, _inner=inner, **kwargs):
+                sizes = [a for a in args if isinstance(a, (int, np.integer))]
                 arrays = [a for a in list(args) + list(kwargs.values()) if isinstance(a, np.ndarray)]
-                calls.append((_name, [a.shape for a in arrays]))
+                calls.append((_name, [(int(n),) for n in sizes] + [a.shape for a in arrays]))
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(module, name, recorded)
@@ -319,7 +338,7 @@ def test_no_call_on_an_empty_block(monkeypatch, d, family):
     asymptotic_cov(X, params)
     for name, shapes in calls:
         assert all(0 not in shape for shape in shapes), (name, shapes)
-    orders = [shapes[0][0] for name, shapes in calls if name == "dpotrf"]
+    orders = [shapes[0][0] for name, shapes in calls if name == "dpftrf"]
     assert len(orders) == np.count_nonzero(_bisection_order(d, np.nonzero(params.active)[0])[1])
     if d > 1:
         assert max(orders, default=0) <= d * d

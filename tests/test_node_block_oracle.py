@@ -7,7 +7,7 @@ dense 2d^2-square Gamma and the chunk matrices are tree-reduced. The package
 keeps one (4d - 2)-square Gram block per node instead; Gamma products, the
 blocks it assembles and the coefficients solved from them must agree with
 the oracle to 1e-12 absolute, and no package path may assemble the full
-Gamma_hat (a ``gamma_lower`` triangle of every coordinate): from d = 2 on,
+Gamma_hat (a ``gamma_rfp`` triangle of every coordinate): from d = 2 on,
 the sandwich writes and factors it by node-bisection blocks. The closed-form
 fit and the group lasso assemble no block: their products with Gamma on the
 active coordinates go through the node blocks and must agree with the
@@ -16,9 +16,12 @@ the block's largest eigenvalue to 1e-10 relative.
 
 ``gamma_block`` below is the former method of that name, kept verbatim but
 for taking the moments as an argument: a per-node ``np.ix_`` gather of each
-block onto the coordinate set, on both triangles. The package writes the
-lower triangle alone (``gamma_lower``), and its buffer must equal the lower
-triangle of the loop's block byte for byte, with zeros above the diagonal.
+block onto the coordinate set, on both triangles. The former triangle writer
+(``derivative_oracle.gamma_lower``) wrote the lower triangle alone, and its
+buffer must equal the lower triangle of the loop's block byte for byte, with
+zeros above the diagonal. The package writes that triangle in rectangular
+full packed storage (``gamma_rfp``), which must equal LAPACK's ``dtrttf`` of
+the oracle's triangle byte for byte, at odd and even orders.
 """
 
 import tracemalloc
@@ -50,7 +53,7 @@ from torusgraphs.model import Family, TorusGraphParams, edge_list, param_dim
 from torusgraphs.sampling import GibbsConfig, gibbs_sample
 from torusgraphs.simulation import gen_chain
 
-from derivative_oracle import _derivative_table, _h_rows, _stat_chunks, gamma_hat
+from derivative_oracle import _derivative_table, _h_rows, _stat_chunks, gamma_hat, gamma_lower
 from sandwich_oracle import _checked_cholesky
 
 ATOL = 1e-12
@@ -177,7 +180,7 @@ def test_operator_matches_dense(data):
     assert abs(sm_objective(v, moments) - (0.5 * v @ ref.gamma_hat @ v - v @ ref.h_hat)) <= ATOL
     idx = _active_indices(d, family, zero_edges)
     for coords in (idx, rng.permutation(idx)[: max(1, idx.size // 2)]):
-        L = moments.gamma_lower(coords)
+        L = gamma_lower(moments, coords)
         assert L.flags.f_contiguous and L.flags.writeable
         assert not np.triu(L, 1).any()
         np.testing.assert_allclose(L, np.tril(ref.gamma_hat[np.ix_(coords, coords)]),
@@ -206,10 +209,50 @@ def test_block_scatter_matches_loop(data):
         np.arange(0),
     )
     for coords in subsets:
-        L = moments.gamma_lower(coords)
+        L = gamma_lower(moments, coords)
         assert L.tobytes(order="F") == np.tril(gamma_block(moments, coords)).tobytes(order="F")
         assert L.shape == (coords.size, coords.size)
         assert L.flags.f_contiguous and L.flags.writeable
+        assert_rfp_matches_oracle(moments, coords)
+
+
+def assert_rfp_matches_oracle(moments, coords):
+    """The package's RFP triangle on ``coords`` is ``dtrttf`` of the oracle's
+    lower triangle, byte for byte."""
+    T = moments.gamma_rfp(coords)
+    L = gamma_lower(moments, coords)
+    assert T.shape == (coords.size * (coords.size + 1) // 2,)
+    assert T.flags.c_contiguous and T.flags.writeable
+    assert T.tobytes() == scipy.linalg.lapack.dtrttf(L, transr="N", uplo="L")[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_rfp_triangle_matches_oracle(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    n = data.draw(st.integers(1, 400), label="n")
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    edges = edge_list(d)
+    zero_edges = []
+    if edges:
+        zero_edges = data.draw(st.lists(st.sampled_from(edges), unique=True), label="zero_edges")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    moments = estimation.accumulate_moments(coupled_sample(d, n, seed))
+    idx = _active_indices(d, family, zero_edges)
+    order, sizes = estimation._bisection_order(d, idx)
+    # the active set without its last coordinate has the other parity
+    for coords in (idx, idx[:-1], *np.split(order, np.cumsum(sizes)[:2])):
+        assert_rfp_matches_oracle(moments, coords)
+
+
+def test_rfp_triangle_matches_oracle_d48():
+    X = np.random.default_rng(571).uniform(0.0, 2 * np.pi, size=(300, 48))
+    moments = estimation.accumulate_moments(X)
+    idx = np.arange(param_dim(48))
+    order, sizes = estimation._bisection_order(48, idx)
+    sets = np.split(order, np.cumsum(sizes)[:2])
+    for coords in (*sets, sets[2][:-1], sets[0][::3]):
+        assert_rfp_matches_oracle(moments, coords)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -284,19 +327,20 @@ def test_no_full_gamma_allocated(d, n):
 
 @pytest.fixture
 def no_gamma_hat(monkeypatch):
-    inner = ScoreMatchingMoments.gamma_lower
+    inner = ScoreMatchingMoments.gamma_rfp
 
     def guarded(self, coords):
         if np.asarray(coords).size == self.h_hat.size:
             raise AssertionError("the full Gamma_hat was assembled")
         return inner(self, coords)
 
-    monkeypatch.setattr(ScoreMatchingMoments, "gamma_lower", guarded)
+    monkeypatch.setattr(ScoreMatchingMoments, "gamma_rfp", guarded)
 
 
 def test_gamma_hat_guard_raises(no_gamma_hat):
+    moments = estimation.accumulate_moments(coupled_sample(2, 50, seed=490))
     with pytest.raises(AssertionError):
-        gamma_hat(estimation.accumulate_moments(coupled_sample(2, 50, seed=490)))
+        moments.gamma_rfp(np.arange(param_dim(2)))
 
 
 def test_library_paths_never_assemble_gamma(no_gamma_hat):
